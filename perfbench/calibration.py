@@ -15,11 +15,16 @@ moves the scaled times exactly as it moves the raw ones.
 from __future__ import annotations
 
 import signal
+import statistics
 import time
 from typing import List, Tuple
 
 #: Kernel time at the reference speed.
 REFERENCE_NS = 330_000
+#: Long units of work are calibrated again after this much of it.
+SLICE_NS = 5_000_000
+#: Kernel runs whose median :func:`steady_sample` takes.
+STEADY_RUNS = 5
 
 
 def kernel() -> int:
@@ -44,6 +49,12 @@ def sample() -> int:
     return time.perf_counter_ns() - start
 
 
+def steady_sample() -> float:
+    """Median of several kernel runs, for a one-off unit (an import, a
+    set-up) that a single hiccupping kernel run would misjudge."""
+    return statistics.median(sample() for _ in range(STEADY_RUNS))
+
+
 def scale(before: int, after: int) -> float:
     """Factor from wall time to reference time for a unit timed between
     kernel runs of ``before`` and ``after`` nanoseconds."""
@@ -51,7 +62,7 @@ def scale(before: int, after: int) -> float:
 
 
 class Sliced:
-    """Calibrate inside one long unit of work, every ``every_s`` seconds.
+    """Calibrate inside one long unit of work, every ``SLICE_NS``.
 
     A ``SIGALRM`` interval timer runs the kernel between bytecodes of the
     work; :meth:`reference_ns` scales each slice between two kernel runs on
@@ -59,8 +70,7 @@ class Sliced:
     around the work, in the main thread.
     """
 
-    def __init__(self, every_s: float = 0.005):
-        self.every_s = every_s
+    def __init__(self):
         #: (work resumed at, kernel ns) per calibration point.
         self._marks: List[Tuple[int, int]] = []
         self._paused: List[int] = []
@@ -81,7 +91,7 @@ class Sliced:
         kernel_ns = sample()
         self._marks = [(time.perf_counter_ns(), kernel_ns)]
         self._paused = []
-        signal.setitimer(signal.ITIMER_REAL, self.every_s, self.every_s)
+        signal.setitimer(signal.ITIMER_REAL, SLICE_NS / 1e9, SLICE_NS / 1e9)
         return self
 
     def __exit__(self, *exc) -> None:

@@ -23,8 +23,8 @@ import json
 import math
 import os
 import platform
-import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -38,20 +38,52 @@ ROOT = HERE.parent
 OUT = HERE / "out"
 #: Set-up is repeated this many times per run; the median is reported.
 SETUP_REPEATS = 3
+#: The package import is timed in this many fresh interpreters.
+IMPORT_REPEATS = 5
 #: Counters every run reports, traced or not, and that must repeat exactly.
 GLOBAL_COUNTERS = ("saturation_ticks", "closure_word_ops", "executor_instructions")
 
+#: Run by a fresh interpreter with the benchmark and ``src`` directories as
+#: arguments: prints the import time of the package, in reference seconds.
+_IMPORT_PROBE = """
+import sys, time
+sys.path[:0] = sys.argv[1:]
+import calibration
+before = calibration.steady_sample()
+start = time.perf_counter()
+import workloads
+elapsed = time.perf_counter() - start
+print(elapsed * calibration.scale(before, calibration.steady_sample()))
+"""
 
-def _import_program() -> float:
-    """Import the package under test from ``src``; returns the import time
-    in reference seconds."""
-    sys.path.insert(0, str(ROOT / "src"))
-    before = calibration.sample()
-    start = time.perf_counter()
-    import workloads  # noqa: F401  (imports every repro layer it drives)
 
-    elapsed = time.perf_counter() - start
-    return elapsed * calibration.scale(before, calibration.sample())
+def import_seconds() -> List[float]:
+    """Import time of the package under test, once per fresh interpreter.
+
+    The probes run after this process imported the package, so that they
+    all find the same compiled byte code."""
+    return [
+        float(subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(HERE), str(ROOT / "src")],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout)
+        for _ in range(IMPORT_REPEATS)
+    ]
+
+
+def reset_peak_rss() -> None:
+    """Restart the kernel's resident-memory high-water mark (Linux)."""
+    with open("/proc/self/clear_refs", "w") as handle:
+        handle.write("5")
+
+
+def peak_rss_mb() -> float:
+    """Resident-memory high-water mark since :func:`reset_peak_rss`."""
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def global_counters() -> Dict[str, int]:
@@ -229,7 +261,7 @@ def end_to_end(workload, measurement: Measurement, setup_s: float) -> Dict[str, 
         "throughput_per_s": measurement.throughput(),
         "latency_p50_us": statistics.median(samples),
         "latency_tail_us": tail,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb(),
         "ok_share": (measurement.attempted - failed) / measurement.attempted,
     }
 
@@ -326,9 +358,9 @@ def per_layer(workload, untraced: Measurement, traced: Measurement, tracer) -> D
         "engine.aborts": count(aborts),
         "engine.commit_yield": (_ratio(commits, commits + aborts), "ratio"),
         "engine.lock_waits": count(totals.get("lock_waits", 0)),
-        "checking.peak_live_txns": count(0),
     })
-    metrics[workload.live_gauge] = count(peak_live)
+    if workload.live_gauge is not None:
+        metrics[workload.live_gauge] = count(peak_live)
     return metrics
 
 
@@ -384,26 +416,29 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    import_s = _import_program()
+    sys.path.insert(0, str(ROOT / "src"))
     from workloads import WORKLOADS, prepare_oracles
 
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}")
     workload = WORKLOADS[args.workload]
 
+    import_times = import_seconds()
     setup_times = []
-    kernel_ns = calibration.sample()
     for _ in range(SETUP_REPEATS):
+        cases = None
+        gc.collect()
+        before = calibration.steady_sample()
         start = time.perf_counter()
         cases = workload.setup(args.seed)
         elapsed = time.perf_counter() - start
-        after = calibration.sample()
-        setup_times.append(elapsed * calibration.scale(kernel_ns, after))
-        kernel_ns = after
+        setup_times.append(elapsed * calibration.scale(before, calibration.steady_sample()))
+    import_s = statistics.median(import_times)
     setup_s = import_s + statistics.median(setup_times)
     prepare_oracles(cases)
     gc.collect()
     gc.freeze()
+    reset_peak_rss()
 
     info = provenance(args)
     OUT.mkdir(exist_ok=True)
@@ -439,7 +474,7 @@ def main(argv=None) -> int:
     samples = runs[0].latency_samples_us(workload.latency_of)
     tail_pct, _ = tail_percentile(samples)
     info.update(
-        import_s=import_s,
+        import_repeats_s=import_times,
         setup_repeats_s=setup_times,
         cases=len(cases),
         work_unit=workload.work_unit,
