@@ -10,7 +10,7 @@ the PR's stacked optimisations target, sampled by the
   (:attr:`IncrementalSaturation.premise_evals` delta): how much forced-edge
   work the sibling-shared derivation actually leaves per node;
 * **closure word-ops / node** — :attr:`RelationMatrix.word_ops` delta:
-  row-word updates the word-packed relation engine performs;
+  row-word updates the bitset relation engine performs;
 * **executor instructions / node** — compiled-program instructions the
   dispatch loop retires re-running transaction bodies.
 

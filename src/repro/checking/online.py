@@ -136,7 +136,7 @@ class _PrefixFacts:
     Materialising the real history per fed event was the monitor's
     throughput ceiling: the premise pass only ever touches these five
     members, so the hot path passes this view instead and the history is
-    built lazily only where search levels or abort rebuilds truly need it.
+    built lazily only where search levels truly need it.
     """
 
     __slots__ = ("_checker", "txns")
@@ -346,9 +346,9 @@ class OnlineChecker:
                                 state.add_instance(t1, tid, read)
         self._history = None
         # The prefix history is never materialised on the saturation hot
-        # path: premises are decided against the O(1) facts view, so only
-        # search levels (SI/SER) and fired-writer abort rebuilds pay for
-        # a real history.
+        # path: premises are decided against the O(1) facts view, and a
+        # writer's abort is retracted in place, so only search levels
+        # (SI/SER) pay for a real history.
         if event.op == "abort":
             self._retract_aborted_writer(tid)
         for state in self._saturation.values():
@@ -497,10 +497,12 @@ class OnlineChecker:
         recently begun transaction (its next ``begin`` still needs an
         ``so`` edge from it) are refused with ``ValueError``.
 
-        Forced edges fired by evicted readers survive in each saturation
-        state's ``fired_edges`` record (endpoints permitting), keeping
-        abort-of-a-writer rebuilds exact afterwards.  Returns the number
-        of transactions evicted.
+        Fired edges whose endpoints both survive stay in each saturation
+        state's ``fired_edges`` record, and ``remove_nodes`` keeps every
+        path through a dropped node as a one-step edge, so a later writer
+        abort stays exact: it goes through
+        :meth:`IncrementalSaturation.retract_writer`, in place.  Returns
+        the number of transactions evicted.
         """
         drop = set(tids)
         if not drop:
@@ -615,7 +617,7 @@ class OnlineChecker:
 
     def first_violation(self, level: str) -> Optional[OnlineStep]:
         """The step at which ``level`` first flipped to violated, if any."""
-        name = level.upper()
+        name = get_level(level).name
         if name not in self.levels:
             raise KeyError(f"level {name!r} is not being checked (have {self.levels})")
         for step in self._steps:
@@ -627,14 +629,15 @@ class OnlineChecker:
 def check_trace(
     trace: Trace, levels: Iterable[str] = DEFAULT_LEVELS, online: bool = False
 ) -> Dict[str, bool]:
-    """One-shot trace checking: level → verdict on the complete trace.
+    """One-shot trace checking: level → verdict on the complete trace,
+    keyed by canonical level name (``"causal"`` reports as ``CC``).
 
     ``online`` routes through :class:`OnlineChecker` (event-at-a-time,
     incremental); otherwise each level's batch checker runs once on the
     replayed history.  Both paths return identical verdicts (the
     batch-equivalence guarantee).
     """
-    names = [str(l).upper() for l in levels]
+    names = [get_level(str(l)).name for l in levels]
     if online:
         checker = OnlineChecker.from_trace(trace, levels=names)
         checker.replay(trace)

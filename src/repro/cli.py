@@ -266,13 +266,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {err}")
     try:
         if args.stdin:
-            report = monitor_stream(
-                sys.stdin, config, shards=args.shards, stats_every=args.stats_every
-            )
+            report = monitor_stream(sys.stdin, config, stats_every=args.stats_every)
         else:
-            report = serve(
-                args.port, config, shards=args.shards, stats_every=args.stats_every
-            )
+            report = serve(args.port, config, stats_every=args.stats_every)
     except MonitorStaleReadError as err:
         raise SystemExit(f"error: {err}")
     except TraceFormatError as err:
@@ -483,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--window", type=int, default=64, help="retention / freshness window (default 64)")
     monitor.add_argument("--gc-every", type=int, default=128, help="events between collections (default 128)")
     monitor.add_argument("--evict-batch", type=int, default=16, help="victims batched per compaction (default 16)")
-    monitor.add_argument("--shards", type=int, default=1, help="checker shards by variable (0 = one per CPU, default 1 = exact)")
     monitor.add_argument(
         "--stale",
         default="keep",

@@ -9,26 +9,21 @@ and CPython big-int arithmetic extends this word-parallelism to arbitrary
 sizes.
 
 The matrix maintains the **strict transitive closure in both directions**
-(descendant and ancestor rows).  The initial closure is computed with the
-bitset Floyd–Warshall sweep (``n`` row unions of ``n``-bit words); after
-that, :meth:`add_edge` updates the closure *incrementally* in O(affected
-rows): adding ``u → v`` unions ``{v} ∪ desc(v)`` into every ancestor of
-``u`` and ``{u} ∪ anc(u)`` into every descendant of ``v``.  Edges are never
-removed — the relations of this code base (``so ∪ wr`` plus forced
-commit-order edges) only ever grow, and closure under deletion would not
-admit such cheap maintenance.
+(descendant and ancestor rows).  :meth:`_close` computes it from scratch
+with a semi-naive sparse fixpoint sweep, whose cost follows the edges of
+the closure rather than ``n²``; after that, :meth:`add_edge` updates the
+closure *incrementally* in O(affected rows): adding ``u → v`` unions
+``{v} ∪ desc(v)`` into every ancestor of ``u`` and ``{u} ∪ anc(u)`` into
+every descendant of ``v``.  The relations of this code base (``so ∪ wr``
+plus forced commit-order edges) only grow, with two exceptions that
+re-close or restrict the closure instead: an aborted writer's retracted
+edges (:meth:`retract_edges`) and the streaming monitor's compaction
+(:meth:`remove_nodes`).
 
-Row storage is **word-packed**: while the universe fits one machine word
-(≤ 64 nodes — every DPOR exploration workload), the three row containers
-are ``array('Q')`` buffers of raw 64-bit words, so :meth:`copy` — the
-hottest operation on the matrix, one per candidate extension and per
-saturation fork — is a refcount-free ``memcpy`` instead of a pointer-list
-copy.  The row *values* are plain ints either way, so every bit-twiddling
-code path is shared.  When :meth:`add_node` grows the universe past 64
-nodes the rows widen transparently to Python bigints (the mandatory pure
-fallback); for wide universes the initial Floyd–Warshall sweep optionally
-vectorises over NumPy when it is importable — never required, and only
-engaged where it measurably wins.
+There is one row representation at every universe size: each row is a
+plain ``int`` in a plain list, so :meth:`copy` — the hottest operation on
+the matrix, one per candidate extension and per saturation fork — is
+three list slices, and its result is mutable right away.
 
 The engine deliberately knows nothing about histories; :mod:`repro.core.history`
 caches one matrix per history (``History.causal_matrix``) and the isolation
@@ -39,35 +34,9 @@ for heterogeneous event graphs and for the brute-force reference checker.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
-try:  # Optional acceleration for wide (> 64 node) full closures only.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments (CI matrix)
-    _np = None
-
 Node = Hashable
-
-#: Bits per packed row word; universes up to this size use ``array('Q')``.
-_WORD_BITS = 64
-
-#: Node count from which the NumPy Floyd–Warshall pays for its per-call
-#: overhead (measured: ≥ 1.5x faster already at 65 nodes, 3x+ at 200).
-#: Below this the word-packed regime applies and the bigint sweep wins.
-_NUMPY_MIN_NODES = 65
-
-#: Per-process free list of released mutable row containers, keyed by row
-#: count: ``{n: [(succ, desc, anc), ...]}``.  The DPOR hot path derives
-#: one matrix per candidate extension (:meth:`RelationMatrix.copy_mutable`
-#: + ``add_edge``) and rejects most of them; recycling the rejected
-#: candidates' list triples (:meth:`RelationMatrix.release`) makes the
-#: steady state container-allocation-free.  Bounded per key.
-_SCRATCH: Dict[int, List[Tuple[list, list, list]]] = {}
-
-#: Ceiling on retained triples per row count — the pool exists to absorb
-#: the steady-state candidate churn, not to hoard.
-_SCRATCH_MAX = 128
 
 
 try:  # Python ≥ 3.10: C-speed popcount (used for the word_ops accounting).
@@ -110,11 +79,6 @@ class RelationMatrix:
     #: of this counter.
     word_ops: int = 0
 
-    #: Row-buffer triples recycled from the scratch pool by :meth:`copy`
-    #: since interpreter start (the regression tests assert the DPOR hot
-    #: path actually recycles instead of allocating per candidate).
-    buffer_reuses: int = 0
-
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]] = ()):
         self._nodes: Tuple[Node, ...] = tuple(nodes)
         self._index: Dict[Node, int] = {n: i for i, n in enumerate(self._nodes)}
@@ -130,11 +94,6 @@ class RelationMatrix:
             succ[i] |= 1 << j
         self._succ: List[int] = succ
         self._close()
-        if n <= _WORD_BITS:
-            # Word-packed rows: raw 64-bit buffers make copy() a memcpy.
-            self._succ = array("Q", self._succ)
-            self._desc = array("Q", self._desc)
-            self._anc = array("Q", self._anc)
         self._frozen = False
         RelationMatrix.full_builds += 1
 
@@ -152,9 +111,6 @@ class RelationMatrix:
         and cycles just cost extra passes.
         """
         n = len(self._succ)
-        if _np is not None and n >= _NUMPY_MIN_NODES:
-            self._close_wide_numpy()
-            return
         succ = self._succ
         desc = list(succ)
         # Decode each row's set bits to an index list once; the fixpoint
@@ -215,39 +171,6 @@ class RelationMatrix:
         self._acyclic = all(not (row >> i) & 1 for i, row in enumerate(desc))
         RelationMatrix.word_ops += max(passes * edge_unions, n) * ((n + 63) >> 6)
 
-    def _close_wide_numpy(self) -> None:
-        """Vectorised Floyd–Warshall for wide universes (optional fast path).
-
-        Same single-pass bitset sweep as :meth:`_close`, with the inner row
-        union running over a ``(n, words)`` uint64 matrix; rows convert back
-        to Python ints afterwards so every other method is unaffected.
-        """
-        n = len(self._succ)
-        words = (n + 63) >> 6
-        rowbytes = words * 8
-        desc = _np.zeros((n, words), dtype=_np.uint64)
-        for i, row in enumerate(self._succ):
-            if row:
-                desc[i] = _np.frombuffer(row.to_bytes(rowbytes, "little"), dtype=_np.uint64)
-        one = _np.uint64(1)
-        for k in range(n):
-            shift = _np.uint64(k & 63)
-            has_k = (desc[:, k >> 6] >> shift) & one
-            rows = _np.nonzero(has_k)[0]
-            if rows.size:
-                desc[rows] |= desc[k]
-                RelationMatrix.word_ops += int(rows.size) * words
-        buf = desc.tobytes()
-        self._desc = [
-            int.from_bytes(buf[i * rowbytes : (i + 1) * rowbytes], "little") for i in range(n)
-        ]
-        bits = _np.unpackbits(
-            _np.frombuffer(buf, dtype=_np.uint8).reshape(n, rowbytes), axis=1, bitorder="little"
-        )[:, :n]
-        packed = _np.packbits(bits.T, axis=1, bitorder="little")
-        self._anc = [int.from_bytes(packed[j].tobytes(), "little") for j in range(n)]
-        self._acyclic = not bits[_np.arange(n), _np.arange(n)].any()
-
     # -- structure ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -280,13 +203,13 @@ class RelationMatrix:
     def copy(self) -> "RelationMatrix":
         """An independent matrix sharing the (immutable) node indexing.
 
-        O(n) — rows are immutable ints, so copying the row containers
-        suffices; slicing preserves the representation (a packed
-        ``array('Q')`` duplicates as a raw buffer memcpy, a bigint list as
-        a pointer copy).  Used by the saturation checker to extend a
-        history's cached closure with forced edges without disturbing the
-        cache, and by the scheduler to derive each child node's matrix
-        from its parent's.
+        O(n) — rows are immutable ints, so copying the three row lists
+        suffices, and the copy is mutable right away.  Used by the
+        saturation checker to extend a history's cached closure with
+        forced edges without disturbing the cache, by
+        :meth:`~repro.isolation.saturation.IncrementalSaturation.fork`, and
+        by the scheduler to derive each child node's matrix from its
+        parent's.
         """
         dup = object.__new__(RelationMatrix)
         dup._nodes = self._nodes
@@ -294,36 +217,6 @@ class RelationMatrix:
         dup._succ = self._succ[:]
         dup._desc = self._desc[:]
         dup._anc = self._anc[:]
-        dup._acyclic = self._acyclic
-        dup._frozen = False
-        return dup
-
-    def copy_mutable(self) -> "RelationMatrix":
-        """A copy whose rows are *already* mutable lists, recycled when possible.
-
-        :meth:`add_edge` widens packed rows to list-land before its first
-        mutation, so a copy made specifically to grow — one candidate
-        extension's closure, one saturation fork — pays copy *and* widen.
-        This goes straight to list rows and refills a triple from the
-        :data:`_SCRATCH` free list (see :meth:`release`) when one is
-        available: the hot path's reject-derive churn then runs without
-        allocating row containers at all.
-        """
-        dup = object.__new__(RelationMatrix)
-        dup._nodes = self._nodes
-        dup._index = self._index
-        free = _SCRATCH.get(len(self._nodes))
-        if free:
-            succ, desc, anc = free.pop()
-            succ[:] = self._succ
-            desc[:] = self._desc
-            anc[:] = self._anc
-            dup._succ, dup._desc, dup._anc = succ, desc, anc
-            RelationMatrix.buffer_reuses += 1
-        else:
-            dup._succ = list(self._succ)
-            dup._desc = list(self._desc)
-            dup._anc = list(self._anc)
         dup._acyclic = self._acyclic
         dup._frozen = False
         return dup
@@ -337,25 +230,6 @@ class RelationMatrix:
         """
         self._frozen = True
         return self
-
-    def release(self) -> None:
-        """Return this matrix's row containers to the per-process scratch pool.
-
-        Only for matrices the caller **exclusively owns** — e.g. the
-        closure derived for a candidate extension the isolation check just
-        rejected (nothing else ever saw it; being frozen does not imply
-        sharing there).  List rows are handed to :data:`_SCRATCH` for the
-        next :meth:`copy_mutable` to refill, and this instance is poisoned
-        (its row slots become ``None``) so any later query raises instead
-        of silently reading recycled bits.  Idempotent; a no-op for
-        packed-array rows (those copies are already a plain memcpy).
-        """
-        if type(self._succ) is not list:
-            return
-        pool = _SCRATCH.setdefault(len(self._nodes), [])
-        if len(pool) < _SCRATCH_MAX:
-            pool.append((self._succ, self._desc, self._anc))
-        self._succ = self._desc = self._anc = None  # poison
 
     # -- wire transport -----------------------------------------------------
 
@@ -393,14 +267,9 @@ class RelationMatrix:
             raise ValueError(
                 f"closure rows for {len(succ)} nodes do not match universe of {n}"
             )
-        if n <= _WORD_BITS:
-            matrix._succ = array("Q", succ)
-            matrix._desc = array("Q", desc)
-            matrix._anc = array("Q", anc)
-        else:
-            matrix._succ = list(succ)
-            matrix._desc = list(desc)
-            matrix._anc = list(anc)
+        matrix._succ = list(succ)
+        matrix._desc = list(desc)
+        matrix._anc = list(anc)
         matrix._acyclic = all(not (row >> i) & 1 for i, row in enumerate(desc))
         matrix._frozen = False
         return matrix
@@ -425,8 +294,6 @@ class RelationMatrix:
         if node in self._index:
             raise ValueError(f"node {node!r} already in RelationMatrix universe")
         index = len(self._nodes)
-        if index >= _WORD_BITS and isinstance(self._succ, array):
-            self._widen()
         self._nodes = self._nodes + (node,)
         self._index = dict(self._index)
         self._index[node] = index
@@ -434,20 +301,6 @@ class RelationMatrix:
         self._desc.append(0)
         self._anc.append(0)
         return index
-
-    def _widen(self) -> None:
-        """Switch packed ``array('Q')`` rows to bigint lists.
-
-        Called when the universe outgrows one word — and by :meth:`add_edge`
-        before its first mutation: a packed row store pays boxing on every
-        item assignment, so arrays serve as the cheap-to-``copy`` *shared*
-        representation while mutation always happens in list-land.  The
-        one-time conversion costs what a pointer-list copy would have cost
-        anyway.
-        """
-        self._succ = list(self._succ)
-        self._desc = list(self._desc)
-        self._anc = list(self._anc)
 
     def add_edge(self, src: Node, dst: Node) -> bool:
         """Add ``src → dst`` and update the maintained closure incrementally.
@@ -458,8 +311,6 @@ class RelationMatrix:
         """
         if self._frozen:
             raise ValueError("matrix is frozen (cached on a history); copy() it before add_edge")
-        if type(self._succ) is array:
-            self._widen()
         i = self._index[src]
         j = self._index[dst]
         self._succ[i] |= 1 << j
@@ -506,8 +357,6 @@ class RelationMatrix:
         """
         if self._frozen:
             raise ValueError("matrix is frozen (cached on a history); copy() it before retract_edges")
-        if type(self._succ) is array:
-            self._widen()
         for src, dst in edges:
             self._succ[self._index[src]] &= ~(1 << self._index[dst])
         self._close()
@@ -558,10 +407,6 @@ class RelationMatrix:
         succ = [compact(self._desc[i], keep_mask, plan) for i in keep]
         desc = [compact(self._desc[i], keep_mask, plan) for i in keep]
         anc = [compact(self._anc[i], keep_mask, plan) for i in keep]
-        if len(keep) <= _WORD_BITS:
-            succ = array("Q", succ)
-            desc = array("Q", desc)
-            anc = array("Q", anc)
         dup._succ = succ
         dup._desc = desc
         dup._anc = anc

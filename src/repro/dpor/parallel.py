@@ -87,19 +87,6 @@ __all__ = [
 ]
 
 
-def _forkable() -> bool:
-    """Whether the ``fork`` start method exists on this platform.
-
-    Used by consumers that are strictly fork-only (e.g. the sharded
-    monitor, whose shard state cannot be pickled); the exploration pool
-    itself is spawn-safe and probes via
-    :func:`~repro.dpor.pool.available_start_method` instead.
-    """
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def resolve_workers(workers: int) -> int:
     """Normalize a ``workers`` request: ``0`` means one per CPU."""
     if workers == 0:

@@ -136,10 +136,9 @@ class IncrementalSaturation:
         #: Forced edges ``(t2, t1)`` actually fired so far.  Premises
         #: are monotone and unaffected by aborts of *other* transactions,
         #: so a fired edge stays valid until its writer ``t2`` aborts —
-        #: which lets the online checker (a) retract a never-fired aborted
-        #: writer by just dropping its pending instances, and (b) restore
-        #: edges fired by since-evicted readers after a rebuild, with no
-        #: evict-time re-derivation.
+        #: which lets :meth:`retract_writer` undo an aborted writer in
+        #: place: drop its pending instances and clear exactly its own
+        #: fired edges from the matrix.
         self.fired_edges: Set[Tuple[TxnId, TxnId]] = set()
         #: Distinct writers with at least one fired edge — the O(1) index
         #: behind :meth:`has_fired_writer` and the monitor's GC gate
@@ -228,10 +227,13 @@ class IncrementalSaturation:
         be enabled by the forced edges this pass adds.
 
         Once the closure is cyclic the pass is skipped entirely — more
-        edges cannot un-close a cycle, and the only event that can restore
-        consistency (an abort retracting a writer) goes through a
-        :meth:`from_history` rebuild anyway.  This mirrors the batch
-        checker's first-contradiction early exit.
+        edges cannot un-close a cycle.  This mirrors the batch checker's
+        first-contradiction early exit.  The only event that can restore
+        consistency is a writer's abort.  Online, :meth:`retract_writer`
+        removes that writer's edges in place, and the next pass evaluates
+        the instances left pending.  In the DPOR derivation such an abort
+        derives nothing (:func:`derive_extension_states`), so the child
+        rebuilds with :meth:`from_history`.
         """
         if not self.matrix.is_acyclic():
             return
@@ -248,9 +250,9 @@ class IncrementalSaturation:
                 self.force_edge(t2, t1)
                 if not self.matrix.is_acyclic():
                     # First contradiction: the verdict is settled for this
-                    # history and every append-extension; keep the
-                    # unevaluated tail pending (an abort rebuild discards
-                    # this state anyway) and stop scanning.
+                    # history and every append-extension.  Keep the
+                    # unevaluated tail pending, for the pass after a
+                    # writer's abort retracts the cycle, and stop scanning.
                     still.extend(pending[idx + 1 :])
                     break
             elif not self._drop_unfired:
@@ -277,8 +279,8 @@ class IncrementalSaturation:
         self.matrix = self.matrix.remove_nodes(drop)
         # A fired edge with an evicted endpoint leaves the record: its
         # closure contribution is already baked in (and survives
-        # remove_nodes as shortcut edges), and rebuilds are restricted to
-        # the live window anyway.
+        # remove_nodes as shortcut edges), and the monitor's GC gate only
+        # compacts once its writer committed, so it is never retracted.
         self.fired_edges = {
             edge for edge in self.fired_edges
             if edge[0] not in drop and edge[1] not in drop
@@ -310,14 +312,15 @@ class IncrementalSaturation:
     def fork(self) -> "IncrementalSaturation":
         """An independent state to extend for a child history.
 
-        O(n): the matrix rows are copied (word-packed memcpy for ≤ 64
-        transactions) and the pending-instance list is copied shallowly
-        (instances are immutable tuples).  The original is untouched, so a
-        parent node's state can be forked once per child branch.
+        O(n): the matrix's three row lists are copied
+        (:meth:`~repro.core.bitrel.RelationMatrix.copy`) and the
+        pending-instance list is copied shallowly (instances are immutable
+        tuples).  The original is untouched, so a parent node's state can
+        be forked once per child branch.
         """
         dup = object.__new__(IncrementalSaturation)
         dup.axioms = self.axioms
-        dup.matrix = self.matrix.copy_mutable()
+        dup.matrix = self.matrix.copy()
         dup._pending = list(self._pending)
         dup._drop_unfired = self._drop_unfired
         dup._prior_source = self._prior_source

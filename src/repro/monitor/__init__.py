@@ -9,15 +9,11 @@ transactions that provably cannot participate in any future violation
 equivalence with the unbounded checker is property-tested on every prefix
 in ``tests/test_monitor_gc.py``).
 
-Three layers:
+Two layers:
 
 * :class:`Monitor` (:mod:`.core`) — one GC'd checker plus the eviction
   driver: retention window, periodic collection, freshness tracking for
   the ``assume-fresh`` mode, and live stats;
-* :class:`ShardedMonitor` (:mod:`.shard`) — hash-partitions reads/writes
-  by variable across forked worker processes (control events are
-  replicated), multiplying throughput; sound (never a false alarm) but
-  blind to violations whose variables land on different shards;
 * :func:`monitor_stream` / :func:`serve` (:mod:`.service`) — the
   stdin/socket ingestion loop with periodic stats lines, backing the
   ``repro monitor`` CLI command.
@@ -30,7 +26,6 @@ from .core import (
     MonitorStaleReadError,
     MonitorStats,
 )
-from .shard import ShardedMonitor
 from .service import monitor_stream, serve
 
 __all__ = [
@@ -39,7 +34,6 @@ __all__ = [
     "MonitorReport",
     "MonitorStaleReadError",
     "MonitorStats",
-    "ShardedMonitor",
     "monitor_stream",
     "serve",
 ]

@@ -116,7 +116,8 @@ class MonitorStats:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    """The end-of-stream summary the CLI and sharding layer consume."""
+    """The end-of-stream summary the CLI consumes; ``first_violation`` is
+    set only when the stream ends violated."""
 
     config: MonitorConfig
     ok: bool
@@ -161,7 +162,6 @@ class Monitor:
         self._pruned = 0
         self._collections = 0
         self._peak_live = 0
-        self._violated = False
 
     # -- ingestion --------------------------------------------------------------
 
@@ -174,8 +174,6 @@ class Monitor:
                 f"stream staleness exceeds the assume-fresh window "
                 f"(window={self.config.window}): {err}"
             ) from err
-        if step.newly_violated:
-            self._violated = True
         if event.op in ("commit", "abort"):
             self._recent.append(event.tid)
             if self._fresh is not None and event.op == "commit":
@@ -203,12 +201,14 @@ class Monitor:
 
         Eviction is skipped while the level is violated: compacting nodes
         of a closed cycle out of the maintained closure could erase the
-        violation, and a violated monitor has nothing left to decide.
+        violation.  A violation need not be final — a writer's abort can
+        retract the cycle — so eviction resumes once the verdict flips
+        back.
         """
         self._since_gc = 0
         self._collections += 1
         self._pruned += self.checker.prune_settled()
-        if self._violated:
+        if not self.ok:
             return 0
         fresh: Optional[Set[TxnId]] = None
         if self._fresh is not None:
@@ -229,8 +229,9 @@ class Monitor:
 
     @property
     def ok(self) -> bool:
-        """Whether the level still holds on the whole stream so far."""
-        return not self._violated
+        """Whether the level holds on the stream so far: the checker's
+        current verdict, which a writer's abort can flip back to ``True``."""
+        return self.checker.verdicts[self.config.isolation]
 
     def frontier(self) -> Frontier:
         return self.checker.frontier()
@@ -243,7 +244,7 @@ class Monitor:
             pruned=self._pruned,
             collections=self._collections,
             pending=len(self.checker.pending_transactions()),
-            violated=self._violated,
+            violated=not self.ok,
         )
 
     @property
@@ -261,6 +262,6 @@ class Monitor:
             config=self.config,
             ok=self.ok,
             stats=self.stats(),
-            first_violation=self.first_violation(),
+            first_violation=None if self.ok else self.first_violation(),
             peak_live=self._peak_live,
         )

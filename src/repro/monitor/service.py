@@ -2,9 +2,8 @@
 
 :func:`monitor_stream` wires a line iterable (stdin, a file, a socket
 makefile) through the streaming reader (:func:`repro.trace.stream
-.stream_trace`) into a :class:`~repro.monitor.core.Monitor` (or a
-:class:`~repro.monitor.shard.ShardedMonitor` when ``shards > 1``),
-emitting a one-line stats report every ``stats_every`` events::
+.stream_trace`) into a :class:`~repro.monitor.core.Monitor`, emitting a
+one-line stats report every ``stats_every`` events::
 
     [monitor] events=200000 ev/s=112903 live=41 evicted=24310 violations=0
 
@@ -23,10 +22,9 @@ from typing import Callable, Iterable, Optional
 
 from ..trace.stream import stream_trace
 from .core import Monitor, MonitorConfig, MonitorReport
-from .shard import ShardedMonitor
 
 
-def _stats_line(monitor, events: int, elapsed: float) -> str:
+def _stats_line(monitor: Monitor, events: int, elapsed: float) -> str:
     stats = monitor.stats()
     rate = events / elapsed if elapsed > 0 else 0.0
     return (
@@ -38,24 +36,18 @@ def _stats_line(monitor, events: int, elapsed: float) -> str:
 def monitor_stream(
     lines: Iterable[str],
     config: MonitorConfig = MonitorConfig(),
-    shards: int = 1,
     stats_every: int = 0,
     emit: Optional[Callable[[str], None]] = None,
 ) -> MonitorReport:
     """Monitor one JSONL trace stream to EOF; returns the final report.
 
-    ``shards > 1`` routes through :class:`ShardedMonitor` (faster, may
-    miss cross-shard anomalies — see its docstring); ``stats_every = N``
-    emits a stats line every N events via ``emit`` (default: stderr).
+    ``stats_every = N`` emits a stats line every N events via ``emit``
+    (default: stderr).
     """
     if emit is None:
         emit = lambda line: print(line, file=sys.stderr, flush=True)
     header, events = stream_trace(lines)
-    monitor = (
-        ShardedMonitor(header, config, shards=shards)
-        if shards != 1
-        else Monitor(header, config)
-    )
+    monitor = Monitor(header, config)
     started = time.perf_counter()
     count = 0
     for event in events:
@@ -73,7 +65,6 @@ def serve(
     port: int,
     config: MonitorConfig = MonitorConfig(),
     host: str = "127.0.0.1",
-    shards: int = 1,
     stats_every: int = 0,
     emit: Optional[Callable[[str], None]] = None,
     ready: Optional[Callable[[int], None]] = None,
@@ -94,6 +85,4 @@ def serve(
             ready(server.getsockname()[1])
         conn, _ = server.accept()
         with conn, conn.makefile("r", encoding="utf-8") as lines:
-            return monitor_stream(
-                lines, config, shards=shards, stats_every=stats_every, emit=emit
-            )
+            return monitor_stream(lines, config, stats_every=stats_every, emit=emit)

@@ -15,9 +15,8 @@ level under exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
-from ..core.bitrel import RelationMatrix
 from ..core.events import INIT_TXN, Event, EventId, EventType, TxnId
 from ..core.history import History
 from ..core.ordered_history import OrderedHistory
@@ -158,7 +157,7 @@ def _derive_extension_caches(
     if base is not None:
         tid = action.txn
         if action.kind is EventType.BEGIN:
-            derived = base.copy_mutable()
+            derived = base.copy()
             derived.add_node(tid)
             order = child.sessions[tid.session]
             prev = order[-2] if len(order) > 1 else INIT_TXN
@@ -168,7 +167,7 @@ def _derive_extension_caches(
             if writer == tid:
                 child.adopt_causal_matrix(base)  # self-wr adds no edge
             else:
-                derived = base.copy_mutable()
+                derived = base.copy()
                 derived.add_edge(writer, tid)
                 child.adopt_causal_matrix(derived)
         else:
@@ -201,8 +200,7 @@ def valid_writes(
     relation and, on the saturation levels, is O(1) per candidate.
     """
     assert action.is_external_read
-    base = history.causal_matrix()  # ensure the base closure exists to derive from
-    base_states = history.saturation_states()
+    history.causal_matrix()  # ensure the base closure exists to derive from
     results: List[Tuple[TxnId, History]] = []
     for log in history.committed_transactions():
         if not log.writes_var(action.var):
@@ -210,30 +208,5 @@ def valid_writes(
         candidate = extend_history(history, action, log.tid)
         if level.satisfies(candidate):
             results.append((log.tid, candidate))
-        else:
-            _recycle_candidate_caches(candidate, base, base_states)
     return results
 
-
-def _recycle_candidate_caches(
-    candidate: History,
-    base: "RelationMatrix",
-    base_states: Dict[Tuple, object],
-) -> None:
-    """Return a rejected candidate's derived row buffers to the scratch pool.
-
-    A rejected ``ValidWrites`` candidate is dropped on the floor, so every
-    matrix derived *for it* — its causal closure and the matrices inside
-    its forked saturation states — is exclusively owned garbage.  Releasing
-    them lets the next candidate's :meth:`~repro.core.bitrel.RelationMatrix.copy`
-    refill the buffers instead of allocating: the hot path stops paying the
-    allocator per rejected candidate.  Caches *shared* with the base
-    history (identity-compared: the self-wr closure share, the verbatim
-    saturation-state shares) are live and must not be touched.
-    """
-    matrix = candidate.cached_causal_matrix()
-    if matrix is not None and matrix is not base:
-        matrix.release()
-    for axioms, state in candidate.saturation_states().items():
-        if base_states.get(axioms) is not state:
-            state.matrix.release()

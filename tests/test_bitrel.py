@@ -4,7 +4,8 @@ Two halves:
 
 * property-style cross-checks of :class:`RelationMatrix` against the naive
   dict-of-set DFS reference on random DAGs and cyclic graphs, including
-  incremental ``add_edge`` vs. full-recompute equivalence;
+  incremental ``add_edge`` vs. full-recompute equivalence, on small graphs
+  and on universes around the 64-bit word of a row;
 * "single construction per check" regressions: the saturation, SER, SI and
   DPOR call sites must reuse a history's cached matrix instead of
   rebuilding adjacency per query (tracked via ``RelationMatrix.full_builds``).
@@ -46,8 +47,20 @@ def naive_acyclic(adj):
     return all(node not in naive_reachable(adj, node) for node in adj)
 
 
-def random_graph(rng, cyclic_ok=True):
-    n = rng.randrange(1, 14)
+#: Universe sizes around the 64-bit word of a row.
+BOUNDARY_SIZES = (63, 64, 65, 66, 130)
+
+
+def graph_sizes(small):
+    """``small`` random small sizes (``None``), then :data:`BOUNDARY_SIZES`."""
+    return [None] * small + list(BOUNDARY_SIZES)
+
+
+def random_graph(rng, cyclic_ok=True, n=None):
+    """``n`` nodes (default: a random 1–13) and up to ``2n`` random edges
+    (``n`` forward edges when ``cyclic_ok`` is false)."""
+    if n is None:
+        n = rng.randrange(1, 14)
     limit = 2 * n if cyclic_ok else n
     edges = set()
     for _ in range(rng.randrange(0, limit)):
@@ -65,8 +78,8 @@ class TestCrossChecks:
     @pytest.mark.parametrize("cyclic_ok", [False, True], ids=["dags", "cyclic"])
     def test_matches_naive_on_random_graphs(self, cyclic_ok):
         rng = random.Random(20230729 + cyclic_ok)
-        for _ in range(200):
-            n, edges, adj = random_graph(rng, cyclic_ok)
+        for size in graph_sizes(200):
+            n, edges, adj = random_graph(rng, cyclic_ok, size)
             matrix = RelationMatrix(range(n), edges)
             assert matrix.transitive_closure() == naive_closure(adj)
             assert matrix.is_acyclic() == naive_acyclic(adj)
@@ -78,8 +91,8 @@ class TestCrossChecks:
 
     def test_incremental_add_edge_equals_full_recompute(self):
         rng = random.Random(42)
-        for _ in range(150):
-            n, edges, _adj = random_graph(rng)
+        for size in graph_sizes(150):
+            n, edges, _adj = random_graph(rng, n=size)
             rng.shuffle(edges)
             incremental = RelationMatrix(range(n))
             for step, (u, v) in enumerate(edges):
@@ -290,8 +303,8 @@ class TestCompaction:
         """Closure answers between survivors must survive compaction,
         including paths that ran *through* dropped nodes."""
         rng = random.Random(11)
-        for _ in range(60):
-            n, edges, adj = random_graph(rng, cyclic_ok=False)
+        for size in graph_sizes(60):
+            n, edges, adj = random_graph(rng, cyclic_ok=False, n=size)
             matrix = RelationMatrix(range(n), edges)
             drop = {i for i in range(n) if rng.random() < 0.4 and n - 1}
             if len(drop) == n:
@@ -334,8 +347,8 @@ class TestCompaction:
     def test_retract_edges_equals_never_added(self):
         """add → retract must equal the matrix where the edges never were."""
         rng = random.Random(23)
-        for _ in range(60):
-            n, edges, adj = random_graph(rng, cyclic_ok=True)
+        for size in graph_sizes(60):
+            n, edges, adj = random_graph(rng, cyclic_ok=True, n=size)
             extra = set()
             for _ in range(rng.randrange(1, 4)):
                 extra.add((rng.randrange(n), rng.randrange(n)))
@@ -373,61 +386,49 @@ class TestCompaction:
             matrix.retract_edges([(0, 1)])
 
 
-class TestScratchRecycling:
-    """copy_mutable/release: the hot path's container free list."""
+class TestWordBoundary:
+    """Growth, compaction and transport across the 64/65-node boundary."""
 
-    def test_copy_mutable_answers_like_copy(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            n, edges, _adj = random_graph(rng)
-            matrix = RelationMatrix(range(n), edges)
-            mutable = matrix.copy_mutable()
-            for a in range(n):
-                for b in range(n):
-                    assert mutable.reaches(a, b) == matrix.reaches(a, b)
-            assert mutable.is_acyclic() == matrix.is_acyclic()
+    def test_add_node_growth_across_the_boundary(self):
+        """Grow 62 → 67 nodes one add_node at a time, adding edges after
+        each step; every step must equal a from-scratch build."""
+        rng = random.Random(62)
+        n, edges, _adj = random_graph(rng, cyclic_ok=False, n=62)
+        matrix = RelationMatrix(range(n), edges)
+        for node in range(62, 67):
+            assert matrix.add_node(node) == node
+            for _ in range(4):
+                src, dst = rng.randrange(node + 1), rng.randrange(node + 1)
+                if src != dst:
+                    matrix.add_edge(src, dst)
+                    edges.append((src, dst))
+            rebuilt = RelationMatrix(range(node + 1), edges)
+            assert matrix.closure_rows() == rebuilt.closure_rows()
+            assert matrix.is_acyclic() == rebuilt.is_acyclic()
 
-    def test_copy_mutable_is_immediately_mutable_and_independent(self):
-        matrix = RelationMatrix(range(4), [(0, 1)]).freeze()
-        mutable = matrix.copy_mutable()
-        mutable.add_edge(1, 2)  # must not raise, must not widen-copy again
-        assert mutable.reaches(0, 2)
-        assert not matrix.reaches(0, 2), "mutation leaked into the source"
+    def test_compaction_below_the_boundary_then_retract(self):
+        """Compact 66 → 64 nodes, fire cycle-closing edges afterwards and
+        retract them: the result equals the compaction that never saw them."""
+        rng = random.Random(66)
+        n, edges, _adj = random_graph(rng, cyclic_ok=False, n=66)
+        matrix = RelationMatrix(range(n), edges)
+        compacted = matrix.remove_nodes({3, 40})
+        reference = matrix.remove_nodes({3, 40})
+        assert len(compacted) == 64
+        extra = [(60, 5), (63, 12), (65, 0)]
+        for src, dst in extra:
+            compacted.add_edge(src, dst)
+        compacted.retract_edges(extra)
+        assert compacted.closure_rows() == reference.closure_rows()
+        assert compacted.is_acyclic() == reference.is_acyclic()
 
-    def test_release_feeds_copy_mutable(self):
-        matrix = RelationMatrix(range(5), [(0, 1), (1, 2)])
-        derived = matrix.copy_mutable()
-        derived.add_edge(2, 3)
-        rows = derived._succ
-        derived.release()
-        before = RelationMatrix.buffer_reuses
-        recycled = matrix.copy_mutable()
-        assert RelationMatrix.buffer_reuses == before + 1
-        assert recycled._succ is rows, "expected the released containers back"
-        # Refilled contents match the source, not the released garbage.
-        assert not recycled.reaches(2, 3)
-        assert recycled.reaches(0, 2)
-
-    def test_release_poisons_the_released_matrix(self):
-        matrix = RelationMatrix(range(3), [(0, 1)])
-        derived = matrix.copy_mutable()
-        derived.release()
-        with pytest.raises(TypeError):
-            derived.reaches(0, 1)
-        derived.release()  # idempotent: double release must not corrupt the pool
-
-    def test_release_is_noop_for_packed_rows(self):
-        matrix = RelationMatrix(range(3), [(0, 1)])
-        copy = matrix.copy()  # packed array rows, never mutated
-        copy.release()
-        assert copy.reaches(0, 1), "packed copy must survive release unharmed"
-
-    def test_rejected_valid_writes_candidates_recycle(self):
-        """The DPOR hot path actually recycles: exploring a program with
-        rejected wr candidates must hit the free list."""
-        from repro.dpor import SwappingExplorer
-
-        program = fig12_program()
-        before = RelationMatrix.buffer_reuses
-        SwappingExplorer(program, get_level("CC"), valid_level=get_level("SER")).run()
-        assert RelationMatrix.buffer_reuses > before
+    def test_closure_rows_round_trip(self):
+        rng = random.Random(65)
+        n, edges, _adj = random_graph(rng, n=65)
+        matrix = RelationMatrix(range(n), edges)
+        restored = RelationMatrix.from_closure(matrix.nodes, matrix.closure_rows())
+        assert restored.closure_rows() == matrix.closure_rows()
+        assert restored.is_acyclic() == matrix.is_acyclic()
+        assert restored.transitive_closure() == matrix.transitive_closure()
+        restored.add_edge(64, 0)
+        assert restored.reaches(64, 0) and not matrix.reaches(64, 0)

@@ -7,18 +7,25 @@ unbounded :class:`repro.checking.online.OnlineChecker` produces — and
 identifies the same first violating event.  The corpus deliberately mixes
 clean fuzzed traces, high-abort traces (exercising fired-edge retraction
 after compaction), application workloads, and the per-level gadget
-anomalies (exercising the violated-monitor path).
+anomalies (exercising the violated-monitor path), and one engine run whose
+SI/SER violation a later abort retracts (exercising a verdict that flips
+back to consistent).
 
 ``assume-fresh`` mode has a weaker contract — equivalence *while the
 freshness assumption holds*, fail-stop (:class:`MonitorStaleReadError`)
 the moment it does not — tested separately on generator streams.
 """
 
+import socket
+import threading
+
 import pytest
 
 from repro.apps.workloads import record_workload_trace
 from repro.checking.online import OnlineChecker
-from repro.monitor import Monitor, MonitorConfig, MonitorStaleReadError
+from repro.engine.harness import run_program, workload_program
+from repro.engine.mvcc import get_engine_config
+from repro.monitor import Monitor, MonitorConfig, MonitorStaleReadError, serve
 from repro.trace import Trace, fuzz_history, fuzz_stream, gadget_traces
 
 LEVELS = ("RC", "RA", "CC", "SI", "SER")
@@ -37,6 +44,13 @@ def _corpus():
         )
     for name, trace in gadget_traces().items():
         yield name, trace
+    # SI and SER are violated at event 21 and consistent again from event
+    # 24, when the writer that closed the cycle aborts.
+    yield "si_engine_abort", run_program(
+        workload_program("hotkeys", 2, 5, 0),
+        get_engine_config("snapshot-isolation"),
+        seed=0,
+    ).trace
 
 
 CORPUS = list(_corpus())
@@ -179,6 +193,16 @@ class TestMonitorReport:
         assert report.first_violation is not None
         assert report.stats.violated
 
+    def test_report_after_abort_retracts_violation(self):
+        trace = dict(CORPUS)["si_engine_abort"]
+        monitor = Monitor(trace.header, MonitorConfig(isolation="SI"))
+        report = monitor.run(trace.events)
+        assert monitor.checker.first_violation("SI") is not None
+        assert report.ok
+        assert report.exit_code == 0
+        assert report.first_violation is None
+        assert not report.stats.violated
+
     def test_report_on_clean_stream(self):
         header, events = fuzz_stream(seed=3, events=500, sessions=4)
         monitor = Monitor(
@@ -189,3 +213,35 @@ class TestMonitorReport:
         assert report.exit_code == 0
         assert report.first_violation is None
         assert report.stats.events == 500
+
+
+class TestServe:
+    def test_socket_round_trip(self):
+        """serve() binds, reads one connection's JSONL stream, verdicts."""
+        trace = gadget_traces()["rc_violation"]
+        payload = trace.dumps()
+        box = {}
+        ready = threading.Event()
+
+        def _capture(port):
+            box["port"] = port
+            ready.set()
+
+        def _run():
+            box["report"] = serve(
+                0,
+                MonitorConfig(isolation="RC", **TIGHT),
+                ready=_capture,
+            )
+
+        server = threading.Thread(target=_run, daemon=True)
+        server.start()
+        assert ready.wait(timeout=10)
+        with socket.create_connection(("127.0.0.1", box["port"]), timeout=10) as conn:
+            conn.sendall(payload.encode("utf-8"))
+        server.join(timeout=10)
+        assert not server.is_alive()
+        report = box["report"]
+        assert not report.ok
+        assert report.exit_code == 1
+        assert report.first_violation is not None

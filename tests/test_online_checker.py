@@ -76,8 +76,17 @@ class TestBatchEquivalence:
             }
 
     def test_check_trace_online_matches_batch(self):
+        aliases = ["read committed", "causal", "snapshot isolation", "serializable"]
         for name, trace in gadget_traces().items():
             assert check_trace(trace) == check_trace(trace, online=True), name
+            batch = check_trace(trace, aliases)
+            assert batch == check_trace(trace, aliases, online=True), name
+            assert set(batch) == {"RC", "CC", "SI", "SER"}, name
+            checker = OnlineChecker.from_trace(trace, levels=aliases)
+            checker.replay(trace)
+            for alias in aliases:
+                canonical = get_level(alias).name
+                assert checker.first_violation(alias) == checker.first_violation(canonical)
 
 
 class TestAborts:

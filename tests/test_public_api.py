@@ -1,6 +1,33 @@
 """The public API surface: everything advertised in README/__all__ works."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
+
+#: Run in a fresh interpreter: import every ``repro`` module and print the
+#: newly loaded modules that come from the interpreter's site-packages.
+_THIRD_PARTY_PROBE = """
+import importlib, json, os, pkgutil, sys, sysconfig
+before = set(sys.modules)
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+roots = tuple(
+    os.path.realpath(sysconfig.get_paths()[key]) + os.sep
+    for key in ("purelib", "platlib")
+)
+loaded = []
+for name in sorted(set(sys.modules) - before):
+    path = getattr(sys.modules[name], "__file__", None)
+    ours = name == "repro" or name.startswith("repro.")
+    if path and not ours and os.path.realpath(path).startswith(roots):
+        loaded.append(name)
+print(json.dumps(loaded))
+"""
 
 
 class TestExports:
@@ -53,3 +80,15 @@ class TestExports:
         assert repro.explore_ce_star(program, "CC", "SER").stats.outputs == 1
         assert len(repro.dfs_baseline(program, "CC").histories) == 1
         assert len(repro.enumerate_histories(program, repro.get_level("CC")).histories) == 1
+
+
+class TestRuntimeDependencies:
+    def test_importing_every_module_loads_no_third_party_package(self):
+        """README's "zero third-party runtime dependencies", enforced."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        probe = subprocess.run(
+            [sys.executable, "-c", _THIRD_PARTY_PROBE],
+            capture_output=True, text=True, check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert json.loads(probe.stdout) == []
