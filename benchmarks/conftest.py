@@ -10,8 +10,14 @@ in when time allows:
 
 The defaults below are scaled for the pure-Python substrate (the paper's
 implementation is JPF/Java on an M1); the *shape* assertions are identical
-at either size.  Rendered result tables are written to
-``benchmarks/results/`` for inclusion in EXPERIMENTS.md.
+at either size.  Rendered result tables and ``BENCH_*.json`` records are
+written to ``results/`` under pytest's temporary directory, so a test run
+never rewrites the committed records in ``benchmarks/results/``.  Pass
+``--basetemp DIR`` to find them in ``DIR/results/``; refreshing the
+committed records is copying them from there:
+
+    PYTHONPATH=src pytest benchmarks/ --basetemp /tmp/bench
+    cp /tmp/bench/results/* benchmarks/results/
 """
 
 import json
@@ -21,8 +27,6 @@ import subprocess
 from pathlib import Path
 
 import pytest
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def env_int(name: str, default: int) -> int:
@@ -46,9 +50,8 @@ SCALING_PROGRAMS = env_int("REPRO_BENCH_SCALING_PROGRAMS", 2)
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("results", numbered=False)
 
 
 def save_result(results_dir: Path, name: str, text: str) -> None:

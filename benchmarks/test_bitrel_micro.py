@@ -11,7 +11,8 @@ the regime the ROADMAP's "fast as the hardware allows" axis targets:
 * **incremental**: growing the relation edge by edge, full recompute after
   every edge vs. ``add_edge``'s O(affected rows) closure maintenance.
 
-A timing table is written to ``benchmarks/results/bitrel_micro.txt``.
+A timing table is written to ``bitrel_micro.txt`` in the results directory
+(see ``conftest.py``).
 """
 
 import random
@@ -21,7 +22,6 @@ import pytest
 
 from conftest import save_bench_json, save_result
 from repro.core import HistoryBuilder, RelationMatrix
-from repro.core.relations import reachable_from
 from repro.bench.reporting import format_table
 
 
@@ -74,15 +74,38 @@ def large_history():
     return history
 
 
+def so_wr_adjacency(history):
+    """The dict-of-set ``so ∪ wr`` baseline, from History's own edge
+    iterators (so the benchmark cannot drift from what causal_matrix
+    builds)."""
+    adj = {tid: set() for tid in history.txns}
+    for src, dst in (*history.so_pairs(), *history.wr_pairs()):
+        if src != dst:
+            adj[src].add(dst)
+    return adj
+
+
+def reachable_from(adj, start):
+    """The naive baseline: one DFS from ``start``."""
+    seen = set()
+    stack = list(adj.get(start, ()))
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(adj.get(node, ()))
+    return seen
+
+
 def relation_edges(history):
-    """The production so∪wr edge set, derived from History's own adjacency
-    (so the benchmark cannot drift from what causal_matrix builds)."""
-    adj = history.so_wr_adjacency()
+    """The production so∪wr edge set."""
+    adj = so_wr_adjacency(history)
     return [(src, dst) for src, succs in adj.items() for dst in succs]
 
 
 def test_closure_bitset_beats_naive(large_history, results_dir, bitrel_cases):
-    adj = large_history.so_wr_adjacency()
+    adj = so_wr_adjacency(large_history)
     edges = relation_edges(large_history)
     nodes = list(large_history.txns)
 

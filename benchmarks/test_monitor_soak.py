@@ -20,8 +20,8 @@ sustains ~28k ev/s, multi-core machines considerably more).
 A short unbounded :class:`OnlineChecker` pass over the same prefix
 records the memory the monitor *avoids*: its live count grows linearly
 with the stream while the monitor's stays flat.  The record lands in
-``benchmarks/results/BENCH_monitor.json`` (baseline committed under
-``benchmarks/baseline/``) for ``repro bench diff``.
+``BENCH_monitor.json`` in the results directory (see ``conftest.py``;
+baseline committed under ``benchmarks/baseline/``) for ``repro bench diff``.
 """
 
 import time

@@ -12,7 +12,8 @@ identical per-prefix verdicts for the saturation levels (RC/RA/CC):
   (full matrix build + full quantifier expansion each time).
 
 No timing assertion gates the suite (hardware noise); the record lands in
-``benchmarks/results/BENCH_online.json`` + ``online_replay.txt`` and the
+``BENCH_online.json`` + ``online_replay.txt`` in the results directory
+(see ``conftest.py``) and the
 verdict streams are asserted equal — the benchmark doubles as an
 equivalence check at sizes the unit tests do not reach.
 """

@@ -10,8 +10,8 @@ then
   set and identical outputs/filtered totals (always, on any machine),
 * records wall-clock times, speedups, and pool telemetry (start method,
   tasks dispatched, final batch size, crash/respawn counts) in
-  machine-readable ``benchmarks/results/BENCH_parallel.json`` (plus a
-  rendered table in ``benchmarks/results/parallel_scaling.txt``), and
+  machine-readable ``BENCH_parallel.json`` (plus a rendered table in
+  ``parallel_scaling.txt``) in the results directory (see ``conftest.py``), and
 * gates the two ISSUE targets: **>= 1.8x** best speedup at 4 workers on a
   multi-core machine (skipped below 4 cores), and **no regression** at
   2 workers wherever the suite runs — on a 1-core container the floor is

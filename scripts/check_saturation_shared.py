@@ -10,12 +10,12 @@ the derived verdict equals the one a from-scratch
 ``satisfies_by_saturation`` computes on a cache-cold copy of the same
 history — for each of the saturation levels RC, RA and CC, including the
 candidate extensions ``ValidWrites`` rejects and the abort-of-a-writer
-nodes that take the rebuild escape hatch.
+nodes, which are derived by retracting the writer's fired edges.
 
 On nodes where both sides are consistent it additionally compares the full
-``so ∪ wr ∪ forced`` closures edge-by-edge: the derived matrix must contain
-exactly the edges the batch rebuild derives, not merely agree on
-acyclicity.
+``so ∪ wr ∪ forced`` closures edge-by-edge, and the fired edges the
+PSI/BS-3 search reads: the derived state must hold exactly what the batch
+rebuild derives, not merely agree on acyclicity.
 
 Standalone on purpose: the property must hold on every supported
 interpreter, and the auxiliary pythons (3.9/3.12) have no pytest, so
@@ -23,7 +23,9 @@ interpreter, and the auxiliary pythons (3.9/3.12) have no pytest, so
     PYTHONPATH=src python scripts/check_saturation_shared.py
 
 is the whole harness.  ``tests/test_saturation_shared.py`` wraps the same
-sweep for the main suite.  Exit code 0 iff no mismatch was found.
+sweep for the main suite.  Exit code 0 iff no mismatch was found, every
+program rebuilt only its root, and the abort-stream program derived at
+least one writer's abort.
 """
 
 from __future__ import annotations
@@ -64,9 +66,11 @@ class SweepStats:
     program: str
     nodes: int = 0
     checks: int = 0
-    #: Nodes reached with no derived state cached (the exploration root and
-    #: every abort-of-a-writer child, i.e. the from-scratch rebuild path).
+    #: Nodes reached with no derived state cached, i.e. built from scratch
+    #: (only the exploration root: every step is derived).
     rebuilds: int = 0
+    #: Children derived from their parent by a writer's abort.
+    writer_aborts: int = 0
     #: Verdict-False nodes seen (inconsistent-state sharing exercised).
     inconsistent: int = 0
     truncated: bool = False
@@ -104,17 +108,20 @@ def check_node(history: History, stats: SweepStats) -> None:
             )
             continue
         if derived and derived_state is not None:
-            # Both consistent: the maintained closure must match the batch
-            # rebuild edge-for-edge, not just on acyclicity.
+            # Both consistent: the maintained closure and the fired edges
+            # must match the batch rebuild edge-for-edge, not just on
+            # acyclicity.
             rebuilt = cold.saturation_states()[axioms]
-            got = _closure_edges(derived_state.matrix)
-            want = _closure_edges(rebuilt.matrix)
-            if got != want:
-                stats.mismatches.append(
-                    f"{stats.program}/{name}: derived closure differs from "
-                    f"rebuilt: extra={sorted(got - want)} "
-                    f"missing={sorted(want - got)} on {history!r}"
-                )
+            for what, got, want in (
+                ("closure", _closure_edges(derived_state.matrix), _closure_edges(rebuilt.matrix)),
+                ("fired edges", derived_state.fired_edges, rebuilt.fired_edges),
+            ):
+                if got != want:
+                    stats.mismatches.append(
+                        f"{stats.program}/{name}: derived {what} differ from "
+                        f"rebuilt: extra={sorted(got - want)} "
+                        f"missing={sorted(want - got)} on {history!r}"
+                    )
 
 
 def sweep_program(
@@ -166,6 +173,8 @@ def sweep_program(
                 if level.satisfies(child):
                     rec(child)
             return
+        if action.kind is EventType.ABORT and history.txns[pending].writes():
+            stats.writer_aborts += 1
         child = extend_history(history, action)
         check_node(child, stats)
         rec(child)
@@ -178,10 +187,9 @@ def abort_stream_program() -> Program:
     """Write-then-abort transactions in both sessions.
 
     Whether each guarded transaction aborts depends on the interleaving, so
-    the sweep hits many abort-of-a-writer nodes — the one step
-    ``derive_extension_states`` cannot express, forcing the
-    ``from_history`` rebuild path on every such child (and derivation from
-    the rebuilt state below it).
+    the sweep hits many abort-of-a-writer nodes — the one non-monotone
+    step, which ``derive_extension_states`` derives by retracting the
+    writer's fired edges and pending instances.
     """
     p = ProgramBuilder("abort-stream")
     s1 = p.session("s1")
@@ -272,7 +280,8 @@ def run_sweeps(
         verdict = "ok" if stats.ok else f"{len(stats.mismatches)} MISMATCH(ES)"
         report(
             f"{stats.program:>14}: {stats.nodes:6d} nodes, {stats.checks:6d} checks, "
-            f"{stats.rebuilds:4d} rebuilds, {stats.inconsistent:5d} inconsistent — "
+            f"{stats.rebuilds:4d} rebuilds, {stats.writer_aborts:4d} writer aborts, "
+            f"{stats.inconsistent:5d} inconsistent — "
             f"{verdict}{flags}"
         )
         for line in stats.mismatches:
@@ -292,14 +301,18 @@ def main(argv: Sequence[str] = None) -> int:
     rebuilds = sum(s.rebuilds for s in all_stats)
     print(
         f"{sum(s.checks for s in all_stats)} checks over "
-        f"{sum(s.nodes for s in all_stats)} nodes ({rebuilds} rebuild-path), "
+        f"{sum(s.nodes for s in all_stats)} nodes ({rebuilds} rebuilds, "
+        f"{sum(s.writer_aborts for s in all_stats)} writer aborts), "
         f"{bad} mismatch(es)"
     )
-    if rebuilds <= len(all_stats):
-        # Only the per-sweep root cold-starts — the abort-stream program
-        # failed to exercise the rebuild escape hatch; treat as a harness
-        # bug rather than a pass.
-        print("error: sweep never took the abort-rebuild path", file=sys.stderr)
+    rebuilt = [s.program for s in all_stats if s.rebuilds != 1]
+    if rebuilt:
+        print(f"error: {rebuilt} rebuilt more than the root", file=sys.stderr)
+        return 1
+    if not any(s.writer_aborts for s in all_stats if s.program == "abort-stream"):
+        # The abort-stream program failed to exercise the retraction path;
+        # treat as a harness bug rather than a pass.
+        print("error: sweep derived no writer's abort", file=sys.stderr)
         return 1
     return 0 if bad == 0 else 1
 

@@ -19,12 +19,12 @@ What is incremental
   build is cubic in transactions; the increments are O(affected rows));
 * levels whose axioms are all co-free — RC/RA/CC and the session
   guarantees (RYW/MR/MW/WFR/SESSION) — run on
-  :class:`~repro.isolation.saturation.IncrementalSaturation`:
-  new axiom instances are quantifier-expanded only against the *new* event
-  (a new wr edge meets existing writers; a new first-write meets existing
-  reads), premises are re-evaluated only while unfired (they are monotone
-  in the grow-only prefix), and the verdict is the maintained closure's
-  O(1) acyclicity flag;
+  :class:`~repro.isolation.saturation.IncrementalSaturation`, whose
+  per-event step (the one the explorer also uses) is called in place:
+  only the instances an event creates are expanded, pending premises are
+  re-checked only after an external read (the one event adding an edge
+  they can use; they are monotone in the grow-only prefix), and the
+  verdict is the maintained closure's O(1) acyclicity flag;
 * the search levels — SI, SER, PSI, PC, BS-3 — re-run their memoized
   searches per event (their axioms mention the commit order, so no
   saturation state carries over) but on the maintained matrix (passed via
@@ -42,8 +42,8 @@ one non-monotone step of the model: saturation instances quantified over
 that writer — and any forced edges they already contributed — become
 invalid.  Fired edges are recorded one-step in each state's matrix, so
 the retraction is in place and exact
-(``IncrementalSaturation.retract_writer``: clear the writer's fired
-bits, re-close); write-free aborts don't touch the matrix at all.
+(``IncrementalSaturation.abort_writer``: clear the writer's fired bits,
+re-close); write-free aborts don't touch the states at all.
 """
 
 from __future__ import annotations
@@ -277,83 +277,46 @@ class OnlineChecker:
     # -- feeding ----------------------------------------------------------------
 
     def feed(self, event: TraceEvent) -> OnlineStep:
-        """Append one event, update the incremental state, re-decide levels."""
+        """Append one event, make the saturation step, re-decide levels."""
         added = self._replayer.apply(event)
         tid = event.tid
+        states = self._saturation.values()
+        # Premises are decided against the O(1) facts view, so the prefix
+        # history is materialised only for the search levels.
+        facts = self._facts
         if event.op == "begin":
-            self._causal.add_node(tid)
             order = self._replayer.session_order(tid.session)
             prev = order[-2] if len(order) > 1 else INIT_TXN
+            self._causal.add_node(tid)
             self._causal.add_edge(prev, tid)
-            for state in self._saturation.values():
-                state.add_transaction(tid)
-                state.add_base_edge(prev, tid)
+            for state in states:
+                state.begin(tid, prev)
         elif event.op == "read" and not event.local:
             source = self._replayer.wr_source(added.eid)
             if source != tid:
                 self._causal.add_edge(source, tid)
             prior = self._sources_read.setdefault(tid, set())
             prior.add(source)
-            # New axiom instances: this read against every existing writer.
             self._reads_of_var.setdefault(event.var, []).append((added, source))
             writers = self._writers_of_var.get(event.var, ())
-            for state in self._saturation.values():
-                state.add_base_edge(source, tid)
-                if not state.static_only:
-                    for t2 in writers:
-                        if t2 != source:
-                            state.add_instance(source, t2, added)
-                elif state.consistent:
-                    # Static premises (RC): the verdict per instance is
-                    # final now — decide it here instead of queueing a
-                    # pending scan.  The wr∘po premise is one lookup in
-                    # the reader's source set (the current read's own
-                    # source only matches t2 == source, which the schema
-                    # excludes, so testing the updated set is exact).
-                    if state.prior_source_only:
-                        for t2 in writers:
-                            if t2 != source and t2 in prior:
-                                state.force_edge(t2, source)
-                                if not state.consistent:
-                                    break
-                    else:
-                        for t2 in writers:
-                            if (
-                                t2 != source
-                                and state.evaluate_instance(source, t2, added, self._facts)
-                                and not state.consistent
-                            ):
-                                break
+            for state in states:
+                state.external_read(facts, added, source, writers, prior)
         elif event.op == "write":
             writers = self._writers_of_var.setdefault(event.var, [])
             if tid not in writers:
                 writers.append(tid)
-                # New axiom instances: this writer against every existing read.
                 reads = self._reads_of_var.get(event.var, ())
-                for state in self._saturation.values():
-                    if state.static_only:
-                        if state.consistent:
-                            for read, t1 in reads:
-                                if (
-                                    tid != t1
-                                    and state.evaluate_instance(t1, tid, read, self._facts)
-                                    and not state.consistent
-                                ):
-                                    break
-                    else:
-                        for read, t1 in reads:
-                            if tid != t1:
-                                state.add_instance(t1, tid, read)
+                for state in states:
+                    state.first_write(facts, tid, reads)
+        elif event.op == "abort" and self._replayer.wrote_any(tid):
+            # The aborted writer's writes become invisible (§2.2.1): it
+            # leaves every writers-of bucket and every saturation state.
+            for writers in self._writers_of_var.values():
+                if tid in writers:
+                    writers.remove(tid)
+            for state in states:
+                state.abort_writer(facts, tid)
         self._history = None
-        # The prefix history is never materialised on the saturation hot
-        # path: premises are decided against the O(1) facts view, and a
-        # writer's abort is retracted in place, so only search levels
-        # (SI/SER) pay for a real history.
-        if event.op == "abort":
-            self._retract_aborted_writer(tid)
-        for state in self._saturation.values():
-            if state.pending_instances:
-                state.advance(self._facts)
         previous = self._verdicts
         verdicts: Dict[str, bool] = {}
         base_acyclic = self._causal.is_acyclic()
@@ -384,26 +347,6 @@ class OnlineChecker:
     def replay(self, trace: Trace) -> List[OnlineStep]:
         """Feed every event of ``trace``; returns one step per event."""
         return [self.feed(event) for event in trace.events]
-
-    def _retract_aborted_writer(self, tid: TxnId) -> None:
-        """Undo the aborted transaction's role as a writer (§2.2.1).
-
-        Its writes become invisible, so it leaves every ``writers_of``
-        bucket, every pending instance, and — if it had fired forced edges
-        — the maintained relation, via
-        :meth:`IncrementalSaturation.retract_writer` (exact in-place
-        retraction; premises are co-free, so un-firing this writer's
-        edges cannot un-fire anyone else's).  On mostly-clean streams
-        aborted writers fired nothing and the matrix is untouched,
-        keeping the streaming monitor's per-event cost flat.
-        """
-        if not self._replayer.wrote_any(tid):
-            return
-        for writers in self._writers_of_var.values():
-            if tid in writers:
-                writers.remove(tid)
-        for state in self._saturation.values():
-            state.retract_writer(tid)
 
     # -- garbage collection (streaming-monitor mechanism) -----------------------
 
@@ -501,7 +444,7 @@ class OnlineChecker:
         state's ``fired_edges`` record, and ``remove_nodes`` keeps every
         path through a dropped node as a one-step edge, so a later writer
         abort stays exact: it goes through
-        :meth:`IncrementalSaturation.retract_writer`, in place.  Returns
+        :meth:`IncrementalSaturation.abort_writer`, in place.  Returns
         the number of transactions evicted.
         """
         drop = set(tids)

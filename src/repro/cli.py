@@ -97,9 +97,20 @@ def _read_program(path: str):
         raise SystemExit(f"error: {path}: {err}")
 
 
+def _require_level(name: str) -> None:
+    """Exit with the registry's message when ``name`` names no isolation level."""
+    from .isolation.base import get_level
+
+    try:
+        get_level(name)
+    except KeyError as err:
+        raise SystemExit(f"error: {err.args[0]}")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from .dpor.pool import PoolUnavailableError
 
+    _require_level(args.isolation)
     program = _read_program(args.file)
     checker = ModelChecker(
         program, isolation=args.isolation, method=args.method, workers=args.workers
@@ -177,6 +188,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         except ValueError as err:
             raise SystemExit(f"error: {err}")
     else:
+        _require_level(args.isolation)
         program = _read_program(args.file)
         result = ModelChecker(program, isolation=args.isolation).run(
             timeout=args.timeout, keep_outcomes=args.index + 1

@@ -27,9 +27,8 @@ three list slices, and its result is mutable right away.
 
 The engine deliberately knows nothing about histories; :mod:`repro.core.history`
 caches one matrix per history (``History.causal_matrix``) and the isolation
-and DPOR layers query/extend it instead of rebuilding dict-of-set graphs
-per query.  The dict-of-set facade in :mod:`repro.core.relations` remains
-for heterogeneous event graphs and for the brute-force reference checker.
+and DPOR layers query/extend it instead of rebuilding graphs per query.
+It is the one representation of ``so ∪ wr`` in the library.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ class RelationMatrix:
 
     #: Closure row-word updates since interpreter start: every row union
     #: performed by :meth:`_close` or :meth:`add_edge` counts the row's
-    #: word width.  The per-node cost profile of the exploration
-    #: (``repro.dpor.stats``/``scripts/profile_explore.py``) reports deltas
-    #: of this counter.
+    #: word width.  The exploration statistics (``repro.dpor.stats``) and
+    #: the benchmark report deltas of this counter.
     word_ops: int = 0
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]] = ()):

@@ -25,7 +25,6 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping,
 
 from .bitrel import RelationMatrix
 from .events import INIT_TXN, Event, EventId, EventType, TxnId
-from .relations import downward_closed, make_adjacency, reachable_from
 
 
 class TransactionLog:
@@ -445,29 +444,6 @@ class History:
         for read, writer in self.wr.items():
             yield writer, read.txn
 
-    def so_wr_adjacency(self, exclude_read: Optional[EventId] = None) -> Dict[TxnId, Set[TxnId]]:
-        """Adjacency of ``so ∪ wr`` on transactions.
-
-        ``exclude_read`` drops the wr edge contributed by one read event —
-        needed by ``readLatest`` (§5.3), which reasons about a read's causal
-        past *excluding the read's own wr dependency*.
-        """
-        if exclude_read is None:
-            cached = self._cache.get("so_wr")
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-        adj: Dict[TxnId, Set[TxnId]] = {tid: set() for tid in self.txns}
-        for src, dst in self.so_pairs():
-            adj[src].add(dst)
-        for read, writer in self.wr.items():
-            if read == exclude_read:
-                continue
-            if writer != read.txn:
-                adj[writer].add(read.txn)
-        if exclude_read is None:
-            self._cache["so_wr"] = adj
-        return adj
-
     def causal_matrix(self) -> RelationMatrix:
         """The ``so ∪ wr`` relation as a :class:`RelationMatrix` with its
         transitive closure maintained.
@@ -524,33 +500,26 @@ class History:
             raise ValueError("adopted matrix does not match this history's transactions")
         self._cache["causal_matrix"] = matrix.freeze()
 
-    def causally_before(self, a: TxnId, b: TxnId, exclude_read: Optional[EventId] = None) -> bool:
+    def causally_before(self, a: TxnId, b: TxnId) -> bool:
         """``(a, b) ∈ (so ∪ wr)+``."""
-        if exclude_read is None:
-            return self.causal_matrix().reaches(a, b)
-        return b in self.causal_descendants(a, exclude_read)
+        return self.causal_matrix().reaches(a, b)
 
-    def causally_before_eq(self, a: TxnId, b: TxnId, exclude_read: Optional[EventId] = None) -> bool:
+    def causally_before_eq(self, a: TxnId, b: TxnId) -> bool:
         """``(a, b) ∈ (so ∪ wr)*``."""
-        return a == b or self.causally_before(a, b, exclude_read)
+        return a == b or self.causally_before(a, b)
 
-    def causal_descendants(self, a: TxnId, exclude_read: Optional[EventId] = None) -> Set[TxnId]:
-        if exclude_read is None:
-            return self.causal_matrix().descendants(a)
-        return reachable_from(self.so_wr_adjacency(exclude_read), a)
+    def causal_descendants(self, a: TxnId) -> Set[TxnId]:
+        return self.causal_matrix().descendants(a)
 
-    def causal_past(self, a: TxnId, exclude_read: Optional[EventId] = None) -> Set[TxnId]:
+    def causal_past(self, a: TxnId) -> Set[TxnId]:
         """All ``t ≠ a`` with ``(t, a) ∈ (so ∪ wr)+``.
 
         ``a`` is excluded even when it lies on a cycle (only possible on
-        not-yet-validated histories), matching the DFS fallback branch.
+        not-yet-validated histories).
         """
-        if exclude_read is None:
-            past = self.causal_matrix().ancestors(a)
-            past.discard(a)
-            return past
-        adj = self.so_wr_adjacency(exclude_read)
-        return {t for t in adj if t != a and a in reachable_from(adj, t)}
+        past = self.causal_matrix().ancestors(a)
+        past.discard(a)
+        return past
 
     def is_so_wr_acyclic(self) -> bool:
         """Def. 2.1 requires ``so ∪ wr`` acyclic; O(1) on the cached closure."""
@@ -653,8 +622,8 @@ def is_prefix(candidate: History, full: History) -> bool:
     for read in candidate.wr:
         if read not in full.wr or candidate.wr[read] != full.wr[read]:
             return False
-    # downward closure w.r.t. po ∪ so ∪ wr on events.
-    nodes = {e.eid for e in full.events()}
+    # Downward closure w.r.t. po ∪ so ∪ wr on events: every edge into a
+    # kept event starts at a kept event.
     edges: List[Tuple[EventId, EventId]] = []
     for log in full.txns.values():
         for first, second in zip(log.events, log.events[1:]):
@@ -666,5 +635,4 @@ def is_prefix(candidate: History, full: History) -> bool:
         write_event = full.txns[writer].writes().get(var)
         if write_event is not None:
             edges.append((write_event.eid, read))
-    adj = make_adjacency(nodes, edges)
-    return downward_closed(kept_events, adj)
+    return all(src in kept_events for src, dst in edges if dst in kept_events)

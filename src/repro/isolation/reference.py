@@ -11,12 +11,44 @@ validated against in the test suite.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from ..core.events import TxnId
 from ..core.history import History
-from ..core.relations import topological_orders
 from .axioms import AXIOMS_BY_LEVEL, ORDER_PREDICATES, Axiom, OrderPredicate, axioms_hold
+
+
+def topological_orders(adj: Dict[Hashable, Set[Hashable]]) -> Iterator[Tuple[Hashable, ...]]:
+    """Yield every topological order of the DAG ``adj`` (exponential!).
+
+    ``adj`` maps node → successors; an order lists each node after all its
+    predecessors.  A cyclic ``adj`` yields nothing.
+    """
+    indegree: Dict[Hashable, int] = {n: 0 for n in adj}
+    for node in adj:
+        for succ in adj[node]:
+            indegree[succ] += 1
+    order: List[Hashable] = []
+    placed: Set[Hashable] = set()
+
+    def backtrack():
+        ready = [n for n in adj if indegree[n] == 0 and n not in placed]
+        if not ready:
+            if len(order) == len(adj):
+                yield tuple(order)
+            return
+        for node in ready:
+            placed.add(node)
+            order.append(node)
+            for succ in adj[node]:
+                indegree[succ] -= 1
+            yield from backtrack()
+            for succ in adj[node]:
+                indegree[succ] += 1
+            order.pop()
+            placed.discard(node)
+
+    yield from backtrack()
 
 
 def witness_commit_order(
@@ -31,7 +63,10 @@ def witness_commit_order(
     """
     if not history.is_so_wr_acyclic():
         return None
-    adjacency = history.so_wr_adjacency()
+    adjacency: Dict[TxnId, Set[TxnId]] = {tid: set() for tid in history.txns}
+    for src, dst in (*history.so_pairs(), *history.wr_pairs()):
+        if src != dst:
+            adjacency[src].add(dst)
     for order in topological_orders(adjacency):
         if not axioms_hold(history, order, axioms):
             continue

@@ -35,7 +35,7 @@ from typing import Callable, Set, Tuple
 from ..core.events import INIT_TXN
 from ..core.history import History
 from .axioms import AXIOMS_BY_LEVEL, Axiom
-from .saturation import forced_edges, satisfies_by_saturation
+from .saturation import satisfies_by_saturation
 from .summaries import DenseSummaries, dense_summaries
 
 #: An at-commit predicate: ``check(i, writer_seq)`` is True when committing
@@ -51,7 +51,8 @@ def _commit_order_search(
 ) -> bool:
     """Is there a total co extending ``so ∪ wr`` ∪ forced edges passing ``check``?"""
     # The co-free part first: forced edges + acyclicity, served from the
-    # history's cached saturation state.  Doubles as the base-acyclic gate.
+    # history's cached saturation state, whose fired edges are then every
+    # forced edge.  Doubles as the base-acyclic gate.
     if not satisfies_by_saturation(history, co_free_axioms):
         return False
 
@@ -61,7 +62,7 @@ def _commit_order_search(
     writes_of = summaries.writes_of
 
     preds = list(summaries.ancestors)
-    for t2, t1 in forced_edges(history, co_free_axioms):
+    for t2, t1 in history.saturation_states()[co_free_axioms].fired_edges:
         preds[matrix.index_of(t1)] |= 1 << matrix.index_of(t2)
 
     check = make_check(summaries)

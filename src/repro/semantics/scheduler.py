@@ -121,9 +121,10 @@ def extend_history(history: History, action: NextAction, writer: Optional[TxnId]
     baseline and ``readLatest`` grow histories, so it is also where the
     child's hot-path caches are **derived** from the parent's instead of
     being rebuilt per node: the ``so ∪ wr`` closure matrix by a copy plus
-    at most one ``add_edge``, and any cached saturation states by the
-    sibling-shared diffing of
-    :func:`~repro.isolation.saturation.derive_extension_states`.
+    at most one ``add_edge``, and any cached saturation states by
+    :func:`~repro.isolation.saturation.derive_extension_states`, which
+    shares each state or forks it and makes the saturation step for the
+    event — aborts included.
     """
     if action.kind is EventType.BEGIN:
         extended, tid = history.begin_transaction(action.txn.session)

@@ -13,7 +13,7 @@ from repro.isolation.axioms import (
     axiom_instances,
     axioms_hold,
 )
-from repro.isolation.saturation import forced_edges
+from repro.isolation.saturation import IncrementalSaturation
 
 
 def catalogue_history():
@@ -122,7 +122,7 @@ class TestAxiomsHold:
 class TestForcedEdges:
     def test_forced_edges_of_catalogue(self):
         h, w, r = catalogue_history()
-        edges = forced_edges(h, AXIOMS_BY_LEVEL["RA"])
+        edges = IncrementalSaturation.from_history(h, AXIOMS_BY_LEVEL["RA"]).fired_edges
         assert (w, INIT_TXN) in edges, "w must commit before init — the violation"
 
     def test_forced_edges_reject_co_dependent_axioms(self):
@@ -130,4 +130,4 @@ class TestForcedEdges:
 
         h, _, _ = catalogue_history()
         with pytest.raises(ValueError):
-            forced_edges(h, AXIOMS_BY_LEVEL["SER"])
+            IncrementalSaturation.from_history(h, AXIOMS_BY_LEVEL["SER"])

@@ -25,8 +25,7 @@ from repro.semantics.scheduler import next_action, valid_writes
 
 from tests.helpers import fig12_program, random_history
 
-# Naive references, deliberately independent of repro.core.relations (which
-# itself delegates to bitrel now).
+# Naive references, deliberately independent of RelationMatrix.
 
 
 def naive_reachable(adj, start):
@@ -45,6 +44,15 @@ def naive_closure(adj):
 
 def naive_acyclic(adj):
     return all(node not in naive_reachable(adj, node) for node in adj)
+
+
+def so_wr_adjacency(history):
+    """The history's ``so ∪ wr`` as a dict-of-set adjacency."""
+    adj = {tid: set() for tid in history.txns}
+    for src, dst in (*history.so_pairs(), *history.wr_pairs()):
+        if src != dst:
+            adj[src].add(dst)
+    return adj
 
 
 #: Universe sizes around the 64-bit word of a row.
@@ -260,10 +268,10 @@ class TestSingleConstructionPerCheck:
 
 
 class TestHistoryIntegration:
-    """The matrix-backed History queries agree with the exclude_read DFS path."""
+    """The matrix-backed History queries agree with a naive DFS over so ∪ wr."""
 
     def test_causal_past_excludes_self_on_cyclic_history(self):
-        """Both causal_past branches agree even when so∪wr is cyclic."""
+        """causal_past agrees with the DFS even when so∪wr is cyclic."""
         from repro.core import History
         from repro.core.events import Event, EventId, EventType
 
@@ -276,17 +284,17 @@ class TestHistoryIntegration:
         h = h.append_event("s", Event(EventId(t2, 2), EventType.COMMIT))
         h = h.add_wr(t2, EventId(t1, 1))  # wr opposes so: cycle t1 ⇄ t2
         assert not h.is_so_wr_acyclic()
+        adj = so_wr_adjacency(h)
         for tid in (t1, t2):
             fast = h.causal_past(tid)
             assert tid not in fast
-            # exclude_read on an eid outside wr keeps the same graph.
-            assert fast == h.causal_past(tid, exclude_read=EventId(t2, 1))
+            assert fast == {t for t in adj if t != tid and tid in naive_reachable(adj, t)}
 
     def test_causal_queries_match_dfs_fallback(self):
         rng = random.Random(3)
         for _ in range(25):
             history = random_history(rng)
-            adj = history.so_wr_adjacency()
+            adj = so_wr_adjacency(history)
             matrix = history.causal_matrix()
             assert matrix.is_acyclic() == history.is_so_wr_acyclic()
             for a in history.txns:

@@ -52,6 +52,11 @@ class TestCheck:
         with pytest.raises(SystemExit):
             main(["check", str(bad)])
 
+    def test_unknown_level_is_an_error(self, program_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", program_file, "--isolation", "BOGUS"])
+        assert str(exc.value).startswith("error: unknown isolation level 'BOGUS'; known: [")
+
 
 class TestCompare:
     def test_ladder_output(self, program_file, capsys):
@@ -169,6 +174,11 @@ class TestRecordReplay:
         k0 = Trace.load(first).to_history().canonical_key()
         k1 = Trace.load(second).to_history().canonical_key()
         assert k0 != k1
+
+    def test_record_unknown_level_is_an_error(self, program_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["record", program_file, "--isolation", "BOGUS", "--out", "-"])
+        assert str(exc.value).startswith("error: unknown isolation level 'BOGUS'; known: [")
 
     def test_record_index_out_of_range(self, program_file, capsys):
         with pytest.raises(SystemExit):

@@ -167,10 +167,6 @@ class TestHistoryQueries:
         assert h.maximal_in_causal_order(t2)
         assert not h.maximal_in_causal_order(t1)
 
-    def test_exclude_read_drops_one_wr_edge(self):
-        h, t1, t2, eid = simple_history()
-        assert not h.causally_before(t1, t2, exclude_read=eid)
-
     def test_visible_write_value(self):
         h, t1, *_ = simple_history()
         assert h.visible_write_value(t1, "x") == 5

@@ -17,7 +17,7 @@ from repro.apps.workloads import record_workload_trace
 from repro.checking.online import DEFAULT_LEVELS, OnlineChecker, OnlineStep, check_trace
 from repro.core import HistoryBuilder, RelationMatrix
 from repro.dpor import explore_ce
-from repro.isolation import get_level
+from repro.isolation import IncrementalSaturation, get_level
 from repro.trace import Trace, TraceEvent, TraceFormatError, fuzz_history, gadget_traces
 
 LEVELS = DEFAULT_LEVELS
@@ -27,6 +27,16 @@ def batch_verdicts(trace, length):
     """Ground truth: fresh batch check of the first ``length`` events."""
     history = trace.prefix(length).to_history(strict=False)
     return {name: get_level(name).satisfies(history) for name in LEVELS}
+
+
+def record(op, session, **extra):
+    """A trace record of ``session``'s first transaction."""
+    return {"type": op, "session": session, "txn": 0, **extra}
+
+
+def read_record(session, var, source, value=1):
+    """An external read by ``session`` from ``source``'s first transaction."""
+    return record("read", session, var=var, value=value, **{"from": [source, 0]})
 
 
 def assert_online_equals_batch(trace):
@@ -92,7 +102,7 @@ class TestBatchEquivalence:
 class TestAborts:
     def test_abort_retracts_forced_edges(self):
         """A pending writer can force a violation that its abort dissolves —
-        the rebuild path must flip the verdict back to consistent."""
+        the retraction must flip the verdict back to consistent."""
         header_vars = ["x", "y"]
         b = HistoryBuilder(header_vars)
         t1 = b.txn("w").write("x", 1).write("y", 1).commit()
@@ -143,10 +153,107 @@ class TestAborts:
         # …and RC stays consistent throughout (reads are ordered old→new).
         assert checker.verdicts["RC"] is True
 
+    @pytest.mark.parametrize("wr_first", [True, False], ids=["wr-then-fire", "fire-then-wr"])
+    def test_abort_keeps_wr_edge_equal_to_a_fired_edge(self, wr_first):
+        """b reads from the pending writer w, and w's instance over r's read
+        of x from b forces the same edge w → b.  When w aborts, its forced
+        edge goes but the wr edge stays, closing the cycle with b → w."""
+        b_reads_w = read_record("b", "y", "w")
+        records = [
+            record("begin", "w"),
+            record("write", "w", var="x", value=1),
+            record("write", "w", var="y", value=1),
+            record("begin", "b"),
+            record("write", "b", var="x", value=2),
+            *([b_reads_w] if wr_first else []),
+            record("begin", "r"),
+            read_record("r", "y", "w"),
+            # Forces w → b: w writes x and r read from w.
+            read_record("r", "x", "b", value=2),
+            *([] if wr_first else [b_reads_w]),
+            # Forces b → w: b writes y and r read y from w after reading b.
+            record("write", "b", var="y", value=2),
+            record("abort", "w"),
+        ]
+        trace = Trace.from_records(records, variables=["x", "y"], name="abort-keeps-wr")
+        assert assert_online_equals_batch(trace).verdicts["RA"] is False
+
+    def test_prune_while_violated_keeps_unevaluated_instances(self):
+        """While w's forced edge closes a cycle, x's first write of v only
+        queues its instances.  Pruning the settled reader r2 must not drop
+        them: once w aborts, x → t2 closes a second cycle."""
+        trace = Trace.from_records(
+            [
+                record("begin", "t"), record("write", "t", var="x", value=1),
+                record("commit", "t"),
+                record("begin", "w"), read_record("w", "x", "t"),
+                record("write", "w", var="x", value=2), record("write", "w", var="y", value=2),
+                # w → t is forced (w writes x, r1 read y from w): a cycle.
+                record("begin", "r1"), read_record("r1", "y", "w"), read_record("r1", "x", "t"),
+                record("begin", "t2"), record("write", "t2", var="v", value=1),
+                record("commit", "t2"),
+                record("begin", "x"), read_record("x", "v", "t2"),
+                record("write", "x", var="u", value=1),
+                record("begin", "r2"), read_record("r2", "u", "x"), read_record("r2", "v", "t2"),
+                record("write", "x", var="v", value=3),
+                record("commit", "x"), record("commit", "r2"),
+                record("abort", "w"),
+            ],
+            variables=["x", "y", "u", "v"],
+            name="prune-while-violated",
+        )
+        checker = OnlineChecker.from_trace(trace)
+        for index, event in enumerate(trace.events):
+            if event.op == "abort":
+                checker.prune_settled()
+            step = checker.feed(event)
+            assert step.verdicts == batch_verdicts(trace, index + 1), (index, event)
+        assert checker.verdicts["RA"] is False
+
     @pytest.mark.parametrize("seed", range(12))
     def test_fuzzed_streams_with_heavy_aborts(self, seed):
         history = fuzz_history(100 + seed, sessions=3, txns_per_session=2, abort_rate=0.5)
         assert_online_equals_batch(Trace.from_history(history, name=f"aborty{seed}"))
+
+
+class TestRecheckRule:
+    def test_inert_events_evaluate_no_premise(self):
+        """Begins, commits, local reads and write-free aborts add no so/wr
+        edge that could fire a pending premise, so they evaluate none —
+        even while RA and CC hold pending instances — and every prefix
+        verdict still equals batch."""
+        trace = Trace.from_records(
+            [
+                record("begin", "w"),
+                record("write", "w", var="x", value=1),
+                record("commit", "w"),
+                record("begin", "v"),
+                record("write", "v", var="x", value=2),
+                record("begin", "r"),
+                # Pending for RA and CC: v writes x but is not before r.
+                read_record("r", "x", "w"),
+                record("write", "r", var="y", value=3),
+                record("read", "r", var="y", value=3, local=True),
+                record("commit", "r"),
+                record("begin", "q"),
+                record("abort", "q"),
+                record("commit", "v"),
+            ],
+            variables=["x", "y"],
+            name="inert-events",
+        )
+        checker = OnlineChecker.from_trace(trace)
+        inert_while_pending = 0
+        for index, event in enumerate(trace.events):
+            before = IncrementalSaturation.premise_evals
+            step = checker.feed(event)
+            evals = IncrementalSaturation.premise_evals - before
+            assert step.verdicts == batch_verdicts(trace, index + 1), (index, event)
+            if event.op in ("begin", "commit", "abort") or event.local:
+                assert evals == 0, (index, event)
+                pending = [state.pending_instances for state in checker.saturation_states()]
+                inert_while_pending += sum(1 for count in pending if count) >= 2
+        assert inert_while_pending >= 5
 
 
 class TestApiSurface:

@@ -4,8 +4,9 @@ The explorer derives each child node's :class:`IncrementalSaturation`
 state from its parent's by diffing (``derive_extension_states``) instead of
 rebuilding per node.  These tests sweep every node of the exploration tree
 and assert the derived verdict — and, on consistent nodes, the full
-``so ∪ wr ∪ forced`` closure — matches what ``satisfies_by_saturation``
-computes on a cache-cold copy of the same history, for RC, RA and CC.
+``so ∪ wr ∪ forced`` closure and the fired edges — matches what
+``satisfies_by_saturation`` computes on a cache-cold copy of the same
+history, for RC, RA and CC.
 
 The sweep itself lives in ``scripts/check_saturation_shared.py`` so it can
 also run standalone on the auxiliary interpreters (3.9/3.12 have no
@@ -46,18 +47,17 @@ class TestSharedSaturationProperty:
         stats = sweep_program(program, max_nodes=5000)
         assert stats.mismatches == []
 
-    def test_abort_stream_forces_rebuild_path(self):
-        """Write-then-abort transactions must hit the from_history escape
-        hatch (nodes with no derived state) and still agree everywhere."""
+    def test_abort_stream_derives_writer_aborts(self):
+        """Write-then-abort children are derived by retraction, not
+        rebuilt: only the root cold-starts, and every node still agrees."""
         stats = sweep_program(abort_stream_program(), max_nodes=5000)
         assert stats.mismatches == []
-        # > 1: the root always cold-starts; rebuilds beyond it are the
-        # abort-of-a-writer children.
-        assert stats.rebuilds > 1
+        assert stats.writer_aborts > 0
+        assert stats.rebuilds == 1
 
     def test_sweep_covers_inconsistent_nodes(self):
-        """The walk checks ValidWrites-rejected candidates too, so the
-        inconsistent-state sharing path is exercised, not just consistent
+        """The walk checks ValidWrites-rejected candidates too, so
+        inconsistent states are derived and checked, not just consistent
         extensions."""
         totals = 0
         for make in PAPER_PROGRAMS:
