@@ -9,7 +9,7 @@ then
 * asserts the parallel runs produce the **identical** canonical history
   set and identical outputs/filtered totals (always, on any machine),
 * records wall-clock times, speedups, and pool telemetry (start method,
-  tasks dispatched, final batch size, crash/respawn counts) in
+  tasks dispatched, crash/respawn counts) in
   machine-readable ``BENCH_parallel.json`` (plus a rendered table in
   ``parallel_scaling.txt``) in the results directory (see ``conftest.py``), and
 * gates the two ISSUE targets: **>= 1.8x** best speedup at 4 workers on a
@@ -83,7 +83,6 @@ def _pool_telemetry(explorer):
     return {
         "start_method": pool.start_method,
         "tasks_dispatched": pool.tasks_dispatched,
-        "final_batch": pool.controller.batch,
         "crashes": pool.crashes,
         "respawns": pool.respawns,
     }
@@ -208,12 +207,11 @@ def test_record_bench_parallel_json(measurements, results_dir):
             f"{r['speedup_vs_serial']:.2f}x",
             r["outputs"],
             r.get("pool", {}).get("tasks_dispatched", "-"),
-            r.get("pool", {}).get("final_batch", "-"),
         )
         for r in measurements
     ]
     text = format_table(
-        ["program", "algorithm", "workers", "time (s)", "speedup", "histories", "tasks", "batch"],
+        ["program", "algorithm", "workers", "time (s)", "speedup", "histories", "tasks"],
         rows,
     )
     save_result(results_dir, "parallel_scaling", text)

@@ -235,12 +235,8 @@ class OnlineChecker:
         self._saturation: Dict[str, IncrementalSaturation] = {}
         search: List[str] = []
         for name in self.levels:
-            try:
-                spec: Optional[LevelSpec] = level_spec(name)
-            except KeyError:
-                # Registered without a spec: fall back to its batch check.
-                spec = None
-            if spec is not None and _saturation_eligible(spec):
+            spec = level_spec(name)
+            if _saturation_eligible(spec):
                 self._saturation[name] = IncrementalSaturation(spec.axioms)
             else:
                 search.append(name)

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .bench.experiments import fig14
 from .bench.reporting import render_fig14
@@ -83,6 +83,21 @@ from .checking.checker import ModelChecker
 from .core.canonical import format_history
 from .core.dot import history_to_dot
 from .lang.parser import ParseError, parse_program
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _read_program(path: str):
@@ -446,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--timeout", type=float, default=None, help="seconds")
     check.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help="exploration worker processes (default 1 = in-process, 0 = one per CPU)",
     )
@@ -468,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
         "generator preset (gen-hotspot, ...) or a gen:knob=value,... spec",
     )
     record.add_argument("--isolation", default="SER", help="exploration level (default SER)")
-    record.add_argument("--index", type=int, default=0, help="which enumerated history to record (default 0)")
-    record.add_argument("--sessions", type=int, default=2, help="app workload sessions (with --app)")
-    record.add_argument("--txns", type=int, default=2, help="app workload transactions per session (with --app)")
+    record.add_argument("--index", type=_int_at_least(0), default=0, help="which enumerated history to record (default 0)")
+    record.add_argument("--sessions", type=_int_at_least(1), default=2, help="app workload sessions (with --app)")
+    record.add_argument("--txns", type=_int_at_least(1), default=2, help="app workload transactions per session (with --app)")
     record.add_argument("--seed", type=int, default=0, help="app workload seed (with --app)")
     record.add_argument("--timeout", type=float, default=None, help="seconds")
     record.add_argument("--out", default="-", help="output path ('-' = stdout, default)")
@@ -535,17 +550,17 @@ def build_parser() -> argparse.ArgumentParser:
         "or a gen:knob=value,... spec; repeatable; default: hotkeys plus "
         "the config's bug demo",
     )
-    difftest.add_argument("--seeds", type=int, default=8, help="sweep scheduler seeds 0..N-1 (default 8)")
+    difftest.add_argument("--seeds", type=_int_at_least(1), default=8, help="sweep scheduler seeds 0..N-1 (default 8)")
     difftest.add_argument("--seed", type=int, default=None, help="run exactly one scheduler seed")
-    difftest.add_argument("--threads", type=int, default=2, help="sessions/threads per workload (default 2)")
-    difftest.add_argument("--txns", type=int, default=2, help="transactions per session (default 2)")
+    difftest.add_argument("--threads", type=_int_at_least(1), default=2, help="sessions/threads per workload (default 2)")
+    difftest.add_argument("--txns", type=_int_at_least(1), default=2, help="transactions per session (default 2)")
     difftest.add_argument("--out", metavar="DIR", default=None, help="write every recorded trace to DIR")
     difftest.set_defaults(fn=_cmd_difftest)
 
     bench = sub.add_parser("bench", help="small Fig. 14-style algorithm comparison")
-    bench.add_argument("--sessions", type=int, default=2)
-    bench.add_argument("--txns", type=int, default=2)
-    bench.add_argument("--programs", type=int, default=2)
+    bench.add_argument("--sessions", type=_int_at_least(1), default=2)
+    bench.add_argument("--txns", type=_int_at_least(1), default=2)
+    bench.add_argument("--programs", type=_int_at_least(1), default=2)
     bench.add_argument(
         "--apps",
         action="append",
@@ -557,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--timeout", type=float, default=30.0)
     bench.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help="exploration worker processes per run (default 1, 0 = one per CPU)",
     )

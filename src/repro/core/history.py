@@ -339,9 +339,6 @@ class History:
             self._cache["event_count"] = count
         return count
 
-    def transaction_ids(self) -> Set[TxnId]:
-        return set(self.txns)
-
     def last_transaction(self, session: str) -> Optional[TransactionLog]:
         """``last(h, j)``: the last transaction log in session order of ``j``."""
         order = self.sessions.get(session)
@@ -507,9 +504,6 @@ class History:
     def causally_before_eq(self, a: TxnId, b: TxnId) -> bool:
         """``(a, b) ∈ (so ∪ wr)*``."""
         return a == b or self.causally_before(a, b)
-
-    def causal_descendants(self, a: TxnId) -> Set[TxnId]:
-        return self.causal_matrix().descendants(a)
 
     def causal_past(self, a: TxnId) -> Set[TxnId]:
         """All ``t ≠ a`` with ``(t, a) ∈ (so ∪ wr)+``.

@@ -31,18 +31,17 @@ The wire format here is plain tuples of ints, strings and event payloads:
 that route plain ``pickle`` through this encoding, so multiprocessing
 queues get the compact form with no cooperation from callers.
 
-Batched framing
----------------
+Framing
+-------
 
-The persistent worker pool (:mod:`repro.dpor.pool`) does not ship one
-pickled ``History`` per task.  It ships **frames**: a fixed header
-(magic, version, tag, payload length) followed by one pickle of a whole
-*batch* of wire tuples — many seeds per message, one serialisation call,
-one length-prefixed unit the receiver can validate before trusting.
-:func:`encode_frame` / :func:`decode_frame` implement the framing;
-:func:`encode_seed_batch` / :func:`decode_seed_batch` specialise it for
-work-item batches.  Truncated, corrupt and oversized frames all raise
-:class:`FrameError` instead of feeding garbage to ``pickle``.
+The persistent worker pool (:mod:`repro.dpor.pool`) exchanges
+**frames**: a fixed header (magic, version, tag, payload length) followed
+by one pickle of an already-wire-encoded payload — one length-prefixed
+unit the receiver can validate before trusting.  :func:`encode_frame` /
+:func:`decode_frame` implement the framing; :func:`encode_items` /
+:func:`decode_items` encode the work items a frame carries.  Truncated,
+corrupt and oversized frames all raise :class:`FrameError` instead of
+feeding garbage to ``pickle``.
 """
 
 from __future__ import annotations
@@ -148,8 +147,9 @@ FRAME_MAGIC = b"RW"
 FRAME_VERSION = 1
 
 #: Hard ceiling on one frame's payload.  A coordinator/worker pair never
-#: legitimately approaches this (the granularity controller keeps batches
-#: in the kilobyte range); anything larger is a protocol error, not data.
+#: legitimately approaches this (a frame holds one seed, or one time
+#: slice's outputs and unfinished stack); anything larger is a protocol
+#: error, not data.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -161,9 +161,8 @@ def encode_frame(tag: int, payload: object, max_bytes: int = MAX_FRAME_BYTES) ->
     """One length-prefixed frame: header + a single pickle of ``payload``.
 
     ``payload`` must already be in wire form (plain tuples of ints,
-    strings and event values — see :func:`encode_seed_batch`); the point
-    of the frame is that a batch of any size costs exactly one
-    serialisation call and one message.
+    strings and event values — see :func:`encode_items`), so the whole
+    message costs exactly one serialisation call.
     """
     if not 0 <= tag <= 0xFF:
         raise FrameError(f"frame tag must fit one byte, got {tag}")
@@ -195,25 +194,3 @@ def decode_frame(frame: bytes, max_bytes: int = MAX_FRAME_BYTES) -> Tuple[int, o
         raise FrameError(f"{kind} frame: header declares {length} bytes, got {len(body)}")
     return tag, pickle.loads(body)
 
-
-def encode_seed_batch(tag: int, items: List[Tuple[int, OrderedHistory]], extra: Tuple = ()) -> bytes:
-    """Frame a batch of work items (plus per-task metadata ``extra``).
-
-    The batch is wire-encoded first (plain tuples, no object graphs) and
-    the whole ``(extra, encoded items)`` pair pickled once — the batched
-    replacement for the one-pickled-``History``-per-task protocol.
-    """
-    return encode_frame(tag, (extra, encode_items(items)))
-
-
-def decode_seed_batch(frame: bytes) -> Tuple[int, Tuple, List[Tuple[int, OrderedHistory]]]:
-    """Inverse of :func:`encode_seed_batch`: ``(tag, extra, items)``."""
-    tag, payload = decode_frame(frame)
-    if (
-        not isinstance(payload, tuple)
-        or len(payload) != 2
-        or not isinstance(payload[1], list)
-    ):
-        raise FrameError("seed-batch frame payload is not (extra, items)")
-    extra, items_wire = payload
-    return tag, extra, decode_items(items_wire)

@@ -4,7 +4,7 @@ from .algorithms import dfs_baseline, explore_ce, explore_ce_star
 from .explore import ExplorationResult, StepEngine, SwappingExplorer
 from .optimality import is_swapped, optimality, read_latest
 from .parallel import ParallelExplorer, resolve_workers
-from .pool import GranularityController, PersistentPool, PoolUnavailableError
+from .pool import PersistentPool, PoolUnavailableError
 from .stats import ExplorationStats
 from .swaps import compute_reorderings, swap
 
@@ -13,7 +13,6 @@ __all__ = [
     "explore_ce",
     "explore_ce_star",
     "ExplorationResult",
-    "GranularityController",
     "ParallelExplorer",
     "PersistentPool",
     "PoolUnavailableError",

@@ -175,9 +175,9 @@ class StepEngine:
         granularity (the sequential driver polls every 32 ticks; the
         parallel coordinator's no-fork fallback polls every tick).  On
         expiry ``stats.timed_out`` is set and the rest of the stack is
-        abandoned.  The worker-side loop in :mod:`repro.dpor.parallel` is
-        separate because it additionally budgets ticks, sheds stack, and
-        ships outputs instead of emitting them.
+        abandoned.  The worker-side loop in :mod:`repro.dpor.pool` is
+        separate because it additionally ends each task at a time slice
+        or step cap and ships outputs instead of emitting them.
         """
         live_events = sum(item[1].history.event_count() for item in stack)
         ticks = 0

@@ -11,23 +11,19 @@ output histories and the same counter totals as the sequential
 
 1. **Seeding.**  The coordinator expands the tree breadth-first (using the
    same :class:`~repro.dpor.explore.StepEngine` as the serial driver) until
-   the frontier holds a few work items per worker — shallow nodes rooting
-   the largest subtrees.  Seeding doubles as the tiny-tree probe
-   (``min_fork_steps``): explorations that die out inside the probe finish
-   serially and never pay pool startup.
+   the frontier holds :data:`SEED_FACTOR` work items per worker — shallow
+   nodes rooting the largest subtrees.  Seeding doubles as the tiny-tree
+   probe (:data:`MIN_FORK_STEPS`): explorations that die out inside the
+   probe finish serially and never pay pool startup.
 
 2. **Fan-out over the persistent pool.**  Workers are spawned once per
-   ``run()`` and fed batches of seeds in the length-prefixed frames of
-   :mod:`repro.core.wire` — many seeds per message, one serialisation call
-   per frame, results streamed back incrementally.  A worker explores
-   depth-first under a ``task_budget`` time slice; shed stack halves
-   (work sharing) and unfinished remainders come back with its ``DONE``
-   frame and rebalance across the pool.  A
-   :class:`~repro.dpor.pool.GranularityController` coarsens the
-   seeds-per-frame batch until measured explore time dominates measured
-   transfer time.  Workers that crash mid-task are recovered: their seeds
-   are re-queued and their uncommitted partial results discarded, so the
-   equivalence guarantees survive ``kill -9``.
+   ``run()`` and fed one seed per task frame over the length-prefixed
+   frames of :mod:`repro.core.wire`.  A worker explores its seed
+   depth-first for one time slice and returns its outputs, statistics and
+   unfinished stack in one ``DONE`` frame; the remainder rebalances across
+   the pool as new seeds.  Workers that crash mid-task are recovered: their
+   seed is re-queued and nothing they did is committed, so the equivalence
+   guarantees survive ``kill -9``.
 
 3. **Deterministic merging.**  Outputs are deduplicated into one
    :class:`~repro.core.canonical.HistorySet` keyed by canonical history
@@ -86,6 +82,16 @@ __all__ = [
     "resolve_workers",
 ]
 
+#: Seed the frontier with about this many work items per worker before
+#: fanning out.
+SEED_FACTOR = 4
+
+#: Steps the coordinator explores itself before committing to the pool.
+#: Small programs' whole trees die out within the probe, so they finish
+#: serially instead of paying pool startup plus a wire-encoded ``History``
+#: per near-leaf seed.  ``0`` fans out eagerly.
+MIN_FORK_STEPS = 128
+
 
 def resolve_workers(workers: int) -> int:
     """Normalize a ``workers`` request: ``0`` means one per CPU."""
@@ -111,32 +117,6 @@ class ParallelExplorer:
         no pool can start, construction raises
         :class:`~repro.dpor.pool.PoolUnavailableError` (fail fast — never
         hang, never silently serialise).
-    seed_factor:
-        Seed the frontier with about ``seed_factor`` work items per worker
-        before fanning out.
-    task_ticks:
-        Hard cap on steps per task (rebalancing granularity backstop; the
-        ``task_budget`` time slice usually triggers first).
-    split_threshold:
-        Local stack size beyond which a worker sheds its shallowest half
-        back to the coordinator.
-    min_fork_steps:
-        Steps the coordinator explores itself before committing to the
-        pool (default: ``split_threshold``).  Small programs' whole trees
-        die out within the probe, so they finish serially instead of
-        paying pool startup plus a wire-encoded ``History`` per near-leaf
-        seed.  ``0`` restores eager fan-out.
-    batch_size:
-        Seeds per task frame.  ``0`` (default) lets the
-        :class:`~repro.dpor.pool.GranularityController` adapt the batch
-        from measured explore/transfer times; a positive value pins it.
-    task_budget:
-        Target seconds of exploration per task (the worker's time slice,
-        default 0.05).  Larger values amortise more transfer per frame;
-        smaller values rebalance skewed subtrees faster.
-    start_method:
-        Multiprocessing start method override (``"fork"``/``"spawn"``/
-        ``"forkserver"``); ``None`` picks the best available.
     """
 
     def __init__(
@@ -151,13 +131,6 @@ class ParallelExplorer:
         allow_any_level: bool = False,
         restrict_swaps: bool = True,
         workers: int = 0,
-        seed_factor: int = 4,
-        task_ticks: int = 16384,
-        split_threshold: int = 128,
-        min_fork_steps: Optional[int] = None,
-        batch_size: int = 0,
-        task_budget: float = 0.05,
-        start_method: Optional[str] = None,
         _chaos_kill_after: Optional[int] = None,
     ):
         validate_levels(level, valid_level, allow_any_level)
@@ -170,12 +143,6 @@ class ParallelExplorer:
         self.timeout = timeout
         self.restrict_swaps = restrict_swaps
         self.workers = resolve_workers(workers)
-        self.seed_factor = seed_factor
-        self.task_ticks = task_ticks
-        self.split_threshold = split_threshold
-        self.min_fork_steps = split_threshold if min_fork_steps is None else min_fork_steps
-        self.batch_size = batch_size
-        self.task_budget = task_budget
         self._chaos_kill_after = _chaos_kill_after
         self.engine = StepEngine(
             program,
@@ -187,19 +154,16 @@ class ParallelExplorer:
         # Fail fast: a multi-worker request on a platform with no usable
         # pool is a configuration error the caller must hear about now,
         # not a hang (or a silent serial run) at fan-out time.
-        self.start_method = (
-            available_start_method(self.engine, start_method)
-            if self.workers > 1
-            else None
-        )
+        if self.workers > 1:
+            available_start_method(self.engine)
         self.stats = ExplorationStats()
         self.histories: Optional[HistorySet] = HistorySet() if collect_histories else None
         #: Per-participant stats: key 0 is the coordinator's seed phase,
         #: other keys are worker process ids.
         self.worker_stats: Dict[int, ExplorationStats] = {}
-        #: The pool of the most recent :meth:`run` (telemetry: crashes,
-        #: respawns, frames sent, final batch size); ``None`` before the
-        #: first run or with ``workers=1``.  When the seed-phase probe
+        #: The pool of the most recent :meth:`run` (telemetry: start
+        #: method, tasks dispatched, crashes, respawns); ``None`` before
+        #: the first run or with ``workers=1``.  When the seed-phase probe
         #: finishes the tree serially the pool exists but never started
         #: (``tasks_dispatched == 0``).
         self.pool: Optional[PersistentPool] = None
@@ -251,7 +215,7 @@ class ParallelExplorer:
         """Breadth-first prefix expansion until the frontier can feed the pool.
 
         Doubles as the tiny-tree probe: with a pool configured, expansion
-        continues for at least :attr:`min_fork_steps` steps even once the
+        continues for at least :data:`MIN_FORK_STEPS` steps even once the
         frontier is wide enough.  An exploration whose tree dies out inside
         the probe was measurably too small to amortise pool startup and
         per-seed ``History`` re-encoding; it completes right here and the
@@ -260,8 +224,8 @@ class ParallelExplorer:
         processes boot while the coordinator is still seeding, hiding pool
         startup behind exploration the coordinator must do anyway.
         """
-        target = max(self.workers * self.seed_factor, 1)
-        probe = self.min_fork_steps if self.workers > 1 else 0
+        target = max(self.workers * SEED_FACTOR, 1)
+        probe = MIN_FORK_STEPS if self.workers > 1 else 0
         start_at = max(probe // 2, 1) if pool is not None else None
         steps = 0
         frontier: Deque[WorkItem] = deque([self.engine.initial_item()])
@@ -289,14 +253,7 @@ class ParallelExplorer:
 
     def _make_pool(self) -> PersistentPool:
         pool = PersistentPool(
-            self.engine,
-            self.workers,
-            start_method=self.start_method,
-            task_budget=self.task_budget,
-            task_ticks=self.task_ticks,
-            split_threshold=self.split_threshold,
-            batch_size=self.batch_size,
-            chaos_exit_after=self._chaos_kill_after,
+            self.engine, self.workers, chaos_exit_after=self._chaos_kill_after
         )
         self.pool = pool
         return pool

@@ -15,28 +15,23 @@ module replaces it with a runtime whose costs are paid once per **run**:
   to start with :class:`PoolUnavailableError` instead of hanging or
   silently serialising.
 
-* **Batched frames.**  Seeds travel many-per-message in the
-  length-prefixed frames of :mod:`repro.core.wire` — one serialisation
-  call per batch of plain wire tuples, no per-``History`` pickle.  Results
-  stream back incrementally: long tasks flush output histories in
-  intermediate ``OUTPUT`` frames, and every task ends with one ``DONE``
-  frame carrying statistics and the unfinished remainder of the worker's
-  stack (work sharing).
+* **One fixed policy.**  Every ``TASK`` frame (the length-prefixed frames
+  of :mod:`repro.core.wire`) carries one seed.  The worker explores it
+  depth-first for one time slice (:data:`TASK_BUDGET`, capped at
+  :data:`TASK_TICKS` steps) and answers with one ``DONE`` frame holding
+  its statistics, its output histories and its whole unfinished stack,
+  which the coordinator re-queues as new seeds (work sharing).  Both
+  values are read by the coordinator at dispatch and shipped in the task
+  metadata, so a test that lowers them reaches ``spawn`` workers too.
 
-* **Adaptive granularity.**  A :class:`GranularityController` extends the
-  seed phase's ``min_fork_steps`` probe into a running feedback loop: it
-  tracks measured per-task explore time against measured frame transfer
-  time and coarsens the seeds-per-frame batch until explore time dominates
-  (or thins it when one task overshoots its ``task_budget`` time slice).
-
-* **Crash recovery.**  The coordinator remembers exactly which seeds each
-  worker holds.  Outputs and statistics are *committed only at* ``DONE``;
-  if a worker dies mid-task (its pipe drops or its sentinel fires), the
-  staged partial results are discarded and the seeds are re-queued for the
-  surviving workers — nothing is lost and nothing is double-counted, so
-  the serial ≡ parallel equivalence holds even under ``kill -9``.  Dead
-  workers are respawned up to a budget; if the whole pool is lost the
-  coordinator drains the remaining frontier itself (exact, just slower).
+* **Crash recovery.**  The coordinator remembers which seed each worker
+  holds.  Outputs and statistics are *committed only at* ``DONE``; if a
+  worker dies mid-task (its pipe drops or its sentinel fires), the seed is
+  re-queued for the surviving workers — nothing is lost and nothing is
+  double-counted, so the serial ≡ parallel equivalence holds even under
+  ``kill -9``.  Dead workers are respawned up to :attr:`~PersistentPool.max_respawns`;
+  if the whole pool is lost the coordinator drains the remaining frontier
+  itself (exact, just slower).
 """
 
 from __future__ import annotations
@@ -67,25 +62,18 @@ _ENGINES: Dict[int, StepEngine] = {}
 _ENGINE_TOKENS = count()
 
 # Frame tags of the pool protocol (one byte each; see repro.core.wire).
-TAG_TASK = 1  #: coordinator → worker: (meta, seed batch)
-TAG_OUTPUT = 2  #: worker → coordinator: partial outputs of the running task
-TAG_DONE = 3  #: worker → coordinator: task finished (stats, remainder, ...)
+TAG_TASK = 1  #: coordinator → worker: (meta, one seed)
+TAG_DONE = 3  #: worker → coordinator: task finished (stats, outputs, remainder)
 TAG_SHUTDOWN = 4  #: coordinator → worker: exit the serve loop
 
-#: Flush streamed outputs to the coordinator every this many histories, so
-#: a long task's results arrive incrementally instead of in one giant DONE.
-OUTPUT_FLUSH = 256
+#: Seconds of exploration per task: the worker's time slice.  Long enough
+#: to amortise one frame round trip, short enough that a skewed subtree's
+#: remainder comes back for rebalancing.  Sized on explorations of about
+#: 0.3 s; its effect on long explorations is not yet measured.
+TASK_BUDGET = 0.05
 
-#: Ceiling for the adaptive seeds-per-frame batch.
-MAX_BATCH = 1024
-
-#: Slice stretch while the coordinator's queue is deep.  A worker's
-#: remainder exists for *rebalancing*; when the pending queue can feed
-#: every idle worker anyway, forcing a slice end just pays the remainder
-#: round trip for nothing.  Deep queue → slices of ``task_budget`` times
-#: this factor; the moment a dispatch drains the queue, slices drop back
-#: to ``task_budget`` so the endgame rebalances at fine grain.
-LONG_SLICE_FACTOR = 8.0
+#: Hard cap on steps per task (the time slice usually ends a task first).
+TASK_TICKS = 16384
 
 
 class PoolUnavailableError(RuntimeError):
@@ -99,7 +87,7 @@ class PoolUnavailableError(RuntimeError):
     """
 
 
-def available_start_method(engine: StepEngine, preferred: Optional[str] = None) -> str:
+def available_start_method(engine: StepEngine) -> str:
     """The multiprocessing start method the pool will use, or raise.
 
     Preference order: ``fork`` (engine inherited by memory — works for
@@ -111,7 +99,7 @@ def available_start_method(engine: StepEngine, preferred: Optional[str] = None) 
     import multiprocessing
 
     methods = multiprocessing.get_all_start_methods()
-    candidates = [preferred] if preferred else ["fork", "spawn", "forkserver"]
+    candidates = ["fork", "spawn", "forkserver"]
     for method in candidates:
         if method not in methods:
             continue
@@ -132,71 +120,6 @@ def available_start_method(engine: StepEngine, preferred: Optional[str] = None) 
     )
 
 
-class GranularityController:
-    """Running seeds-per-frame controller (the ``min_fork_steps`` probe, live).
-
-    Tracks exponentially-weighted averages of per-task explore seconds and
-    per-frame transfer seconds (encode + decode, both sides measured) and
-    steers the batch size toward *explore time ≫ transfer time* under the
-    ``task_budget`` time slice:
-
-    * grow (×2, up to :data:`MAX_BATCH`) while tasks finish in under half
-      the budget or transfer overhead is within 4x of explore time —
-      seeds are too fine to amortise a frame;
-    * shrink (÷2, down to 1) when tasks overshoot twice the budget —
-      coarse batches hurt rebalancing and timeout granularity.
-
-    With ``fixed`` set the controller is pinned (the knob the property
-    tests use to force the batched protocol into specific shapes).
-    """
-
-    #: EWMA smoothing factor for the two running measurements.
-    ALPHA = 0.3
-    #: Transfer-dominance ratio: coarsen until explore > 4x transfer.
-    TRANSFER_FACTOR = 4.0
-
-    def __init__(self, task_budget: float, fixed: int = 0):
-        self.task_budget = task_budget
-        self.fixed = fixed
-        self.batch = fixed if fixed > 0 else 1
-        self.explore_avg: Optional[float] = None
-        self.transfer_avg: Optional[float] = None
-
-    def record(
-        self, explore_s: float, transfer_s: float, slice_budget: Optional[float] = None
-    ) -> None:
-        """Fold one completed task's measurements into the averages.
-
-        ``slice_budget`` is the time slice the task actually ran under
-        (the coordinator stretches slices while its queue is deep); the
-        grow/shrink decisions compare against it, not the base budget, so
-        a long slice is not misread as an oversized batch.
-        """
-        if slice_budget is None:
-            slice_budget = self.task_budget
-        if self.explore_avg is None:
-            self.explore_avg = explore_s
-            self.transfer_avg = transfer_s
-        else:
-            self.explore_avg += self.ALPHA * (explore_s - self.explore_avg)
-            self.transfer_avg += self.ALPHA * (transfer_s - self.transfer_avg)
-        if self.fixed > 0:
-            return
-        if explore_s > 2.0 * slice_budget and self.batch > 1:
-            self.batch = max(1, self.batch // 2)
-        elif (
-            explore_s < 0.5 * slice_budget
-            or self.transfer_avg * self.TRANSFER_FACTOR > self.explore_avg
-        ):
-            self.batch = min(MAX_BATCH, self.batch * 2)
-
-    def next_batch(self, pending: int, idle_workers: int) -> int:
-        """Seeds for the next frame: the controller's batch, capped so the
-        currently idle workers all get something to chew on."""
-        share = max(1, -(-pending // max(idle_workers, 1)))  # ceil div
-        return max(1, min(self.batch, share))
-
-
 def _resolve_engine(token: int, engine_bytes: Optional[bytes]) -> StepEngine:
     if engine_bytes is not None:
         return pickle.loads(engine_bytes)
@@ -211,7 +134,7 @@ def _worker_main(
     engine_bytes: Optional[bytes],
     chaos_exit_after: Optional[int],
 ) -> None:
-    """Serve loop of one persistent worker: TASK in, OUTPUT*/DONE out.
+    """Serve loop of one persistent worker: TASK in, DONE out.
 
     ``chaos_exit_after`` is the crash-recovery test hook: after fully
     exploring that many tasks the worker dies with ``os._exit`` *instead
@@ -230,20 +153,15 @@ def _worker_main(
         if tag == TAG_SHUTDOWN:
             return
         assert tag == TAG_TASK, f"worker received unexpected frame tag {tag}"
-        meta, items_wire = payload
-        task_id, time_left, task_budget, task_ticks, split_threshold, ship_outputs = meta
-        t0 = time.perf_counter()
-        stack: List[WorkItem] = decode_items(items_wire)
-        decode_s = time.perf_counter() - t0
+        (time_left, budget, max_ticks, ship_outputs), seed = payload
+        stack: List[WorkItem] = decode_items([seed])
         deadline = time.monotonic() + time_left if time_left is not None else None
-        budget_end = time.perf_counter() + task_budget if task_budget else None
+        slice_end = time.perf_counter() + budget
         stats = ExplorationStats()
-        overflow: List[WorkItem] = []
         outputs: List[History] = []
-        live_events = sum(item[1].history.event_count() for item in stack)
+        live_events = stack[0][1].history.event_count()
         ticks = 0
         timed_out = False
-        explore_t0 = time.perf_counter()
         while stack:
             # Global deadline first, every tick: the coordinator cannot
             # interrupt a busy worker, so overshoot must stay one step.
@@ -252,57 +170,30 @@ def _worker_main(
                 stack.clear()
                 break
             ticks += 1
-            if ticks > task_ticks or (
-                budget_end is not None and time.perf_counter() > budget_end
-            ):
+            if ticks > max_ticks or time.perf_counter() > slice_end:
                 break  # time slice over: return the remainder for rebalancing
             kind, oh = stack.pop()
             live_events -= oh.history.event_count()
             pushed, outs = engine.step(oh, kind, stats)
             if ship_outputs:
                 outputs.extend(outs)
-                if len(outputs) >= OUTPUT_FLUSH:
-                    conn.send_bytes(
-                        encode_frame(
-                            TAG_OUTPUT,
-                            (task_id, [history_to_wire(h) for h in outputs]),
-                        )
-                    )
-                    outputs = []
             stack.extend(reversed(pushed))
             live_events += sum(item[1].history.event_count() for item in pushed)
             if len(stack) > stats.peak_stack:
                 stats.peak_stack = len(stack)
             if live_events > stats.peak_live_events:
                 stats.peak_live_events = live_events
-            if len(stack) > split_threshold:
-                # Work sharing: shed the *shallowest* half — bottom-of-stack
-                # entries root the largest remaining subtrees, exactly what
-                # idle workers want.
-                cut = len(stack) // 2
-                overflow.extend(stack[:cut])
-                del stack[:cut]
-                live_events = sum(item[1].history.event_count() for item in stack)
-        explore_s = time.perf_counter() - explore_t0
         tasks_served += 1
         if chaos_exit_after is not None and tasks_served >= chaos_exit_after:
             os._exit(17)  # crash-recovery hook: die before committing
-        t1 = time.perf_counter()
-        returned = (
-            encode_items(overflow + stack) if (overflow or stack) and not timed_out else []
-        )
-        outputs_wire = [history_to_wire(h) for h in outputs] if ship_outputs else []
         done = encode_frame(
             TAG_DONE,
             (
-                task_id,
                 os.getpid(),
                 stats,
-                outputs_wire,
-                returned,
+                [history_to_wire(h) for h in outputs],
+                encode_items(stack),
                 timed_out,
-                explore_s,
-                decode_s + (time.perf_counter() - t1),
             ),
         )
         try:
@@ -314,32 +205,17 @@ def _worker_main(
 class _Worker:
     """Coordinator-side handle: process, pipe, and the in-flight task."""
 
-    __slots__ = (
-        "process",
-        "conn",
-        "task_id",
-        "inflight",
-        "staged",
-        "sent_at",
-        "slice_budget",
-    )
+    __slots__ = ("process", "conn", "inflight")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        self.task_id: Optional[int] = None
-        #: Wire items of the in-flight task — the re-queue unit on crash.
-        self.inflight: List[Tuple] = []
-        #: OUTPUT-frame histories staged until the task's DONE commits them.
-        self.staged: List[History] = []
-        self.sent_at: float = 0.0
-        #: The time slice the in-flight task was granted (for the
-        #: granularity controller's utilisation normalisation).
-        self.slice_budget: float = 0.0
+        #: Wire seed of the in-flight task — the re-queue unit on crash.
+        self.inflight: Optional[Tuple] = None
 
     @property
     def idle(self) -> bool:
-        return self.task_id is None
+        return self.inflight is None
 
 
 class PersistentPool:
@@ -354,32 +230,22 @@ class PersistentPool:
         self,
         engine: StepEngine,
         workers: int,
-        start_method: Optional[str] = None,
-        task_budget: float = 0.05,
-        task_ticks: int = 16384,
-        split_threshold: int = 128,
-        batch_size: int = 0,
-        max_respawns: Optional[int] = None,
         chaos_exit_after: Optional[int] = None,
     ):
         self.engine = engine
         self.workers = workers
-        self.start_method = available_start_method(engine, start_method)
-        self.task_budget = task_budget
-        self.task_ticks = task_ticks
-        self.split_threshold = split_threshold
-        self.controller = GranularityController(task_budget, fixed=batch_size)
-        self.max_respawns = workers if max_respawns is None else max_respawns
+        self.start_method = available_start_method(engine)
+        #: Replacement workers spawned after crashes before the coordinator
+        #: gives up on the pool and drains the frontier itself.
+        self.max_respawns = workers
         self.respawns = 0
         self.crashes = 0
         self.tasks_dispatched = 0
-        self.frames_sent = 0
         self._chaos_exit_after = chaos_exit_after
         self._token = next(_ENGINE_TOKENS)
         self._engine_bytes: Optional[bytes] = None
         self._ctx = None
         self._alive: List[_Worker] = []
-        self._task_ids = count()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -445,20 +311,14 @@ class PersistentPool:
         pending: Deque[Tuple] = deque(encode_items(items))
         timed_out = False
         while pending or any(not w.idle for w in self._alive):
-            now = time.monotonic()
-            if deadline is not None and now > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 timed_out = True
             if timed_out:
                 pending.clear()  # stop feeding; running tasks self-expire
-            idle = [w for w in self._alive if w.idle]
-            while pending and idle:
-                worker = idle.pop()
-                n = min(
-                    self.controller.next_batch(len(pending), len(idle) + 1),
-                    len(pending),
-                )
-                batch = [pending.popleft() for _ in range(n)]
-                self._dispatch(worker, batch, pending, deadline, ship_outputs)
+            for worker in [w for w in self._alive if w.idle]:
+                if not pending:
+                    break
+                self._dispatch(worker, pending.popleft(), pending, deadline, ship_outputs)
             busy = [w for w in self._alive if not w.idle]
             if not busy:
                 if pending:
@@ -472,7 +332,7 @@ class PersistentPool:
                 timeout=1.0,
             )
             ready_set = set(ready)
-            for worker in list(busy):
+            for worker in busy:
                 if worker.conn in ready_set:
                     if self._receive(worker, pending, emit, worker_stats):
                         timed_out = True
@@ -487,46 +347,24 @@ class PersistentPool:
     def _dispatch(
         self,
         worker: _Worker,
-        batch: List[Tuple],
+        seed: Tuple,
         pending: Deque[Tuple],
         deadline: Optional[float],
         ship_outputs: bool,
     ) -> None:
-        task_id = next(self._task_ids)
         time_left = (
             None if deadline is None else max(deadline - time.monotonic(), 0.0)
         )
-        # Remainders and shed halves exist for rebalancing.  While the
-        # queue still holds work for whoever idles next, a slice end or a
-        # stack shed buys nothing but wire churn (and every item crossing
-        # the wire loses its adopted relation-matrix caches) — stretch the
-        # slice and disable shedding.  The dispatch that drains the queue
-        # (and everything after it) runs at base grain.
-        deep = bool(pending)
-        slice_budget = self.task_budget * (LONG_SLICE_FACTOR if deep else 1.0)
-        split = self.task_ticks if deep else self.split_threshold
-        meta = (
-            task_id,
-            time_left,
-            slice_budget,
-            self.task_ticks,
-            split,
-            ship_outputs,
-        )
-        worker.task_id = task_id
-        worker.inflight = batch
-        worker.staged = []
-        worker.sent_at = time.perf_counter()
-        worker.slice_budget = slice_budget
+        meta = (time_left, TASK_BUDGET, TASK_TICKS, ship_outputs)
+        worker.inflight = seed
         try:
-            worker.conn.send_bytes(encode_frame(TAG_TASK, (meta, batch)))
+            worker.conn.send_bytes(encode_frame(TAG_TASK, (meta, seed)))
         except (BrokenPipeError, OSError):
             # Worker died between tasks; recover exactly as for a mid-task
-            # crash — the batch goes back to the queue.
+            # crash — the seed goes back to the queue.
             self._recover(worker, pending)
             return
         self.tasks_dispatched += 1
-        self.frames_sent += 1
 
     def _receive(
         self,
@@ -535,57 +373,36 @@ class PersistentPool:
         emit: Callable[[History], None],
         worker_stats: Dict[int, ExplorationStats],
     ) -> bool:
-        """Read one frame from a busy worker; returns ``True`` on timeout."""
+        """Read one DONE frame from a busy worker; returns ``True`` on timeout."""
         try:
             frame = worker.conn.recv_bytes()
         except (EOFError, OSError):
             self._recover(worker, pending)
             return False
         tag, payload = decode_frame(frame)
-        if tag == TAG_OUTPUT:
-            task_id, outputs_wire = payload
-            if task_id == worker.task_id:
-                worker.staged.extend(history_from_wire(w) for w in outputs_wire)
-            return False
         assert tag == TAG_DONE, f"coordinator received unexpected frame tag {tag}"
-        (
-            task_id,
-            pid,
-            stats,
-            outputs_wire,
-            returned,
-            task_timed_out,
-            explore_s,
-            transfer_s,
-        ) = payload
-        assert task_id == worker.task_id, "DONE for a task this worker does not hold"
+        pid, stats, outputs_wire, returned, task_timed_out = payload
         # Commit point: everything about the task becomes visible at once.
-        self.controller.record(explore_s, transfer_s, worker.slice_budget)
         bucket = worker_stats.get(pid)
         worker_stats[pid] = stats if bucket is None else bucket.merge(stats)
-        for history in worker.staged:
-            emit(history)
         for wire in outputs_wire:
             emit(history_from_wire(wire))
         pending.extend(returned)
-        worker.task_id = None
-        worker.inflight = []
-        worker.staged = []
+        worker.inflight = None
         return task_timed_out
 
     def _recover(self, worker: _Worker, pending: Deque[Tuple]) -> None:
-        """A worker died: re-queue its seeds, drop its staged results.
+        """A worker died: re-queue its seed and replace it within budget.
 
         Nothing the dead worker did was committed (commit happens only in
-        :meth:`_receive` on DONE), so re-exploring the whole batch keeps
-        all additive counters and the output set exactly equal to a serial
+        :meth:`_receive` on DONE), so re-exploring the seed keeps all
+        additive counters and the output set exactly equal to a serial
         run — crash recovery cannot double-count.
         """
         self.crashes += 1
-        pending.extend(worker.inflight)
-        worker.task_id = None
-        worker.inflight = []
-        worker.staged = []
+        if worker.inflight is not None:
+            pending.append(worker.inflight)
+        worker.inflight = None
         try:
             worker.conn.close()
         except OSError:

@@ -60,6 +60,9 @@ class IsolationLevel(abc.ABC):
 
 _REGISTRY: Dict[str, IsolationLevel] = {}
 
+#: Lower-cased alias → registered level name (filled by :func:`add_aliases`).
+_ALIASES: Dict[str, str] = {}
+
 #: name → every registered level weaker than or equal to it (reflexive,
 #: transitive closure of the declared lattice edges).
 _WEAKER_CLOSURE: Dict[str, FrozenSet[str]] = {}
@@ -114,19 +117,3 @@ def get_level(name: str) -> IsolationLevel:
 
 def registered_levels() -> List[IsolationLevel]:
     return sorted(_REGISTRY.values(), key=lambda l: l.strength)
-
-
-_ALIASES = {
-    "read committed": "RC",
-    "read-committed": "RC",
-    "read atomic": "RA",
-    "read-atomic": "RA",
-    "repeatable read": "RA",
-    "causal": "CC",
-    "causal consistency": "CC",
-    "snapshot": "SI",
-    "snapshot isolation": "SI",
-    "serializability": "SER",
-    "serializable": "SER",
-    "trivial": "TRUE",
-}

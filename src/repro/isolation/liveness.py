@@ -68,7 +68,7 @@ already-closed cycle could erase the cycle from the compacted closure.
 
 from __future__ import annotations
 
-from typing import Collection, FrozenSet, List, Optional, Set
+from typing import Collection, List, Optional, Set
 
 from ..core.events import INIT_TXN, TxnId
 
@@ -76,11 +76,7 @@ __all__ = [
     "EvictionPolicy",
     "eviction_policy",
     "evictable_transactions",
-    "FRESH_CAPABLE_LEVELS",
 ]
-
-#: Levels whose policy can consume a freshness assumption (see module doc).
-FRESH_CAPABLE_LEVELS: FrozenSet[str] = frozenset(("RC",))
 
 
 class _View:

@@ -19,13 +19,13 @@ Two retention modes:
   Live state is bounded on streams whose variables keep being overwritten
   (dead writers settle and go), but a variable written once and read
   forever pins its writer.
-* ``assume-fresh`` — *bounded unconditionally*, for levels in
-  :data:`~repro.isolation.liveness.FRESH_CAPABLE_LEVELS`: committed
-  writers outside the freshness window (the last ``window`` committed
-  writers per variable) are evicted too, under the assumption that no
-  future read names them.  A read that breaks the assumption raises
-  :class:`MonitorStaleReadError` — fail-stop, never a silent wrong
-  verdict.
+* ``assume-fresh`` — *bounded unconditionally*, for levels whose
+  :class:`~repro.isolation.registry.LevelSpec` declares the ``fresh``
+  eviction rule (RC): committed writers outside the freshness window (the
+  last ``window`` committed writers per variable) are evicted too, under
+  the assumption that no future read names them.  A read that breaks the
+  assumption raises :class:`MonitorStaleReadError` — fail-stop, never a
+  silent wrong verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from typing import Deque, Dict, Iterable, Optional, Set, Tuple
 from ..checking.online import Frontier, OnlineChecker, OnlineStep
 from ..core.events import TxnId
 from ..isolation.base import get_level
-from ..isolation.liveness import FRESH_CAPABLE_LEVELS, evictable_transactions
+from ..isolation.liveness import evictable_transactions
+from ..isolation.registry import level_spec, level_specs
 from ..trace.format import EvictedTransactionError, TraceEvent, TraceHeader
 
 #: Retention modes (see module docstring).
@@ -92,10 +93,11 @@ class MonitorConfig:
             raise ValueError(f"evict_batch must be >= 1, got {self.evict_batch}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "assume-fresh" and self.isolation not in FRESH_CAPABLE_LEVELS:
+        if self.mode == "assume-fresh" and level_spec(self.isolation).eviction != "fresh":
+            fresh = sorted(s.name for s in level_specs() if s.eviction == "fresh")
             raise ValueError(
                 f"assume-fresh eviction is only exact-under-assumption at "
-                f"{sorted(FRESH_CAPABLE_LEVELS)} (static premises); "
+                f"{fresh} (static premises); "
                 f"{self.isolation} premises can fire through an evicted "
                 f"writer's session — use mode='keep'"
             )

@@ -45,7 +45,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -469,7 +468,6 @@ class TraceReplayer:
         # transaction, if any, is still pending.  O(sessions), not O(events).
         self._session_begun: Dict[str, int] = {}
         self._session_open: Dict[str, Optional[TxnId]] = {}
-        self._forgotten = 0
 
     # -- queries ---------------------------------------------------------------
 
@@ -490,18 +488,10 @@ class TraceReplayer:
         """The wr source of the given read event, if recorded."""
         return self._wr.get(eid)
 
-    def events_of(self, tid: TxnId) -> List[Event]:
-        """The live event log of ``tid`` (do not mutate)."""
-        return self._logs[tid]
-
     @property
     def wr_map(self) -> Dict[EventId, TxnId]:
         """read event id → wr source, over live reads (do not mutate)."""
         return self._wr
-
-    def wr_sources(self) -> Set[TxnId]:
-        """Every transaction currently named as a wr source by a live read."""
-        return set(self._wr.values())
 
     def wrote_any(self, tid: TxnId) -> bool:
         """Whether ``tid`` has recorded at least one write (aborted or not)."""
@@ -525,11 +515,6 @@ class TraceReplayer:
         index, and it is forgotten iff it no longer has a log.
         """
         return tid not in self._logs and tid.index < self._session_begun.get(tid.session, 0)
-
-    @property
-    def forgotten_count(self) -> int:
-        """Total transactions evicted via :meth:`forget` so far."""
-        return self._forgotten
 
     @property
     def live_count(self) -> int:
@@ -591,7 +576,6 @@ class TraceReplayer:
                 for eid, src in self._wr.items()
                 if eid.txn not in drop and src not in drop
             }
-        self._forgotten += len(drop)
 
     # -- applying events ----------------------------------------------------------
 

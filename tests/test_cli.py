@@ -327,6 +327,36 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{program}", "--workers", "-1"],
+            ["bench", "--workers", "-1"],
+            ["bench", "--sessions", "0"],
+            ["bench", "--txns", "0"],
+            ["bench", "--programs", "0"],
+            ["difftest", "--seeds", "0"],
+            ["difftest", "--threads", "0"],
+            ["difftest", "--txns", "0"],
+            ["record", "--app", "twitter", "--index", "-1"],
+            ["record", "--app", "twitter", "--sessions", "0"],
+            ["record", "--app", "twitter", "--txns", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_count_below_minimum_is_a_usage_error(self, argv, program_file, capsys):
+        argv = [arg.format(program=program_file) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{argv[-2]}: must be >= " in capsys.readouterr().err
+
+    def test_count_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["difftest", "--seeds", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
 
 class TestMonitor:
     """`repro record | repro monitor --stdin` round trips, end to end."""

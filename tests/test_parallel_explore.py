@@ -17,12 +17,15 @@ from repro.core.bitrel import RelationMatrix
 from repro.core.history import History
 from repro.core.ordered_history import OrderedHistory
 from repro.core.wire import (
+    decode_items,
     history_from_wire,
     history_to_wire,
     ordered_history_from_wire,
     ordered_history_to_wire,
 )
 from repro.dpor import ParallelExplorer, StepEngine, SwappingExplorer, resolve_workers
+from repro.dpor import parallel as parallel_module
+from repro.dpor import pool as pool_module
 from repro.dpor.stats import ExplorationStats
 from repro.isolation import get_level
 
@@ -116,18 +119,23 @@ class TestSerialParallelEquivalence:
             total = sum(getattr(s, counter) for s in result.worker_stats.values())
             assert total == getattr(result.stats, counter), counter
 
-    def test_work_sharing_rebalances_small_stacks(self):
-        # Tiny budgets force every mechanism: one-tick tasks, immediate
-        # splits, frontier ping-pong — totals must still be exact.
+    def test_work_sharing_rebalances_small_stacks(self, monkeypatch):
+        # Tiny budgets force every mechanism: a two-step probe, one-tick
+        # tasks, a remainder returned after every step, frontier
+        # ping-pong — totals must still be exact.
+        monkeypatch.setattr(parallel_module, "SEED_FACTOR", 1)
+        monkeypatch.setattr(parallel_module, "MIN_FORK_STEPS", 2)
+        monkeypatch.setattr(pool_module, "TASK_TICKS", 1)
         program = figd1_program()
         serial = run_serial(program, "CC")
-        parallel = run_parallel(
-            program, "CC", workers=2, seed_factor=1, task_ticks=1, split_threshold=2
-        )
+        explorer = ParallelExplorer(program, get_level("CC"), workers=2)
+        parallel = explorer.run()
         assert_equivalent(serial, parallel, "figD1/tiny-budgets")
+        assert [pid for pid in parallel.worker_stats if pid != 0]
+        assert explorer.pool.tasks_dispatched > 1
 
     def test_tiny_trees_finish_without_forking(self):
-        # The seed-phase probe (min_fork_steps) must notice that a paper
+        # The seed-phase probe (MIN_FORK_STEPS) must notice that a paper
         # program's whole tree dies out in a few dozen steps and skip the
         # pool entirely: only the coordinator (key 0) contributes stats.
         program = PAPER_PROGRAMS[1]()  # fig10, the smallest tree
@@ -137,12 +145,12 @@ class TestSerialParallelEquivalence:
         assert_equivalent(serial, parallel, "fig10/probe")
         assert list(parallel.worker_stats) == [0]
 
-    def test_min_fork_steps_zero_restores_eager_fanout(self):
+    def test_min_fork_steps_zero_restores_eager_fanout(self, monkeypatch):
+        monkeypatch.setattr(parallel_module, "SEED_FACTOR", 1)
+        monkeypatch.setattr(parallel_module, "MIN_FORK_STEPS", 0)
         program = figd1_program()
         serial = run_serial(program, "CC")
-        explorer = ParallelExplorer(
-            program, get_level("CC"), workers=2, seed_factor=1, min_fork_steps=0
-        )
+        explorer = ParallelExplorer(program, get_level("CC"), workers=2)
         parallel = explorer.run()
         assert_equivalent(serial, parallel, "figD1/eager")
         assert [pid for pid in parallel.worker_stats if pid != 0]
@@ -162,11 +170,17 @@ class TestTimeoutPropagation:
 
         from repro.apps import client_program
 
-        program = client_program("courseware", 3, 3, 3)
+        # A tree of ~37k steps (seconds of work at two workers), so the
+        # deadline fires inside the pool rather than after the whole tree.
+        program = client_program("courseware", 3, 4, 3)
         start = time.monotonic()
-        result = run_parallel(program, "CC", "SER", workers=2, timeout=0.2)
+        explorer = ParallelExplorer(
+            program, get_level("CC"), valid_level=get_level("SER"), workers=2, timeout=0.2
+        )
+        result = explorer.run()
         wall = time.monotonic() - start
         assert result.stats.timed_out
+        assert explorer.pool.tasks_dispatched > 0
         # Workers check the deadline every tick, so the overshoot is one
         # step plus pool teardown, not a 32-tick coordinator poll.
         assert wall < 5.0, wall
@@ -287,7 +301,7 @@ class TestResolveWorkers:
 
 
 class TestPoolResilience:
-    """Crash recovery, the batched protocol, and alternate start methods.
+    """Crash recovery, the one-seed task protocol, and the spawn start method.
 
     Every scenario must end in the same place: the identical canonical
     history set and identical additive counters as the serial run.
@@ -298,11 +312,13 @@ class TestPoolResilience:
 
         return client_program("courseware", 3, 2, 3)
 
-    def test_worker_killed_mid_task_recovers_exactly(self):
-        # Chaos hook: each worker os._exit(17)s after serving two tasks,
-        # *before* committing the second one.  The coordinator must re-queue
-        # the inflight seeds and discard the staged outputs — the final
-        # history set and counters stay bit-identical to serial.
+    def test_worker_killed_mid_task_recovers_exactly(self, monkeypatch):
+        # Chaos hook: the first worker os._exit(17)s after serving two
+        # tasks, *before* committing the second one.  The coordinator must
+        # re-queue the inflight seed, whose results were never committed —
+        # the final history set and counters stay bit-identical to serial.
+        monkeypatch.setattr(pool_module, "TASK_TICKS", 64)
+        monkeypatch.setattr(pool_module, "TASK_BUDGET", 0.005)
         program = self._courseware()
         serial = run_serial(program, "CC", "SER")
         explorer = ParallelExplorer(
@@ -310,15 +326,13 @@ class TestPoolResilience:
             get_level("CC"),
             valid_level=get_level("SER"),
             workers=2,
-            task_ticks=64,
-            task_budget=0.005,
             _chaos_kill_after=2,
         )
         parallel = explorer.run()
         assert_equivalent(serial, parallel, "courseware/chaos-kill-2")
         assert explorer.pool.crashes > 0, "chaos hook never fired"
 
-    def test_whole_pool_loss_finishes_serially_and_exactly(self):
+    def test_whole_pool_loss_finishes_serially_and_exactly(self, monkeypatch):
         # A single chaos-armed worker with no respawn budget dies on its
         # first task; the coordinator must notice the empty pool and drain
         # the entire frontier itself, exactly.  (The explorer only ever
@@ -326,6 +340,7 @@ class TestPoolResilience:
         # layer directly.)
         from repro.dpor.pool import PersistentPool
 
+        monkeypatch.setattr(pool_module, "TASK_TICKS", 4)
         program = figd1_program()
         engine = StepEngine(program, get_level("CC"))
         items = [engine.initial_item()]
@@ -334,14 +349,8 @@ class TestPoolResilience:
         want_outputs = []
         engine.drain(list(items), want_stats, want_outputs.append)
 
-        pool = PersistentPool(
-            engine,
-            workers=1,
-            max_respawns=0,
-            chaos_exit_after=1,
-            task_ticks=4,
-            batch_size=1,
-        )
+        pool = PersistentPool(engine, workers=1, chaos_exit_after=1)
+        pool.max_respawns = 0
         pool.start()
         got_outputs = []
         worker_stats = {}
@@ -362,60 +371,75 @@ class TestPoolResilience:
         )
         assert coordinator_stats.explore_calls > 0, "serial drain never ran"
 
-    def test_batched_protocol_equivalence(self):
-        # Pin the batch size and shrink the time slice so multi-seed frames,
-        # remainder returns, and mid-task rebalancing all actually happen.
+    def test_one_seed_per_task_frame(self, monkeypatch):
+        # Shrink the time slice and the step cap so the run dispatches
+        # many tasks, each returning a remainder; every TASK frame must
+        # carry exactly one seed, and the result must still equal serial.
+        monkeypatch.setattr(pool_module, "TASK_BUDGET", 0.001)
+        monkeypatch.setattr(pool_module, "TASK_TICKS", 32)
+        frames = []
+        encode = pool_module.encode_frame
+
+        def recording_encode(tag, payload):
+            if tag == pool_module.TAG_TASK:
+                frames.append(payload)
+            return encode(tag, payload)
+
+        monkeypatch.setattr(pool_module, "encode_frame", recording_encode)
         program = self._courseware()
         serial = run_serial(program, "CC", "SER")
         explorer = ParallelExplorer(
-            program,
-            get_level("CC"),
-            valid_level=get_level("SER"),
-            workers=2,
-            batch_size=4,
-            task_budget=0.001,
-            task_ticks=32,
+            program, get_level("CC"), valid_level=get_level("SER"), workers=2
         )
         parallel = explorer.run()
-        assert_equivalent(serial, parallel, "courseware/batch4")
-        assert explorer.pool.controller.batch == 4, "fixed batch size drifted"
-        assert explorer.pool.tasks_dispatched > 1, "batched path never exercised"
+        assert_equivalent(serial, parallel, "courseware/one-seed-tasks")
+        assert len(frames) == explorer.pool.tasks_dispatched > 20
+        for meta, seed in frames:
+            [(_kind, oh)] = decode_items([seed])
+            oh.validate()
+            assert meta[1:3] == (0.001, 32), "task metadata lost the constants"
 
-    def test_spawn_start_method_equivalence(self):
+    def test_spawn_start_method_equivalence(self, monkeypatch):
+        # One-step tasks under spawn: the step cap reaches the workers
+        # only through the task metadata, since a spawned worker imports
+        # the pool module afresh.
         import multiprocessing
 
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("platform has no spawn start method")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(parallel_module, "SEED_FACTOR", 1)
+        monkeypatch.setattr(parallel_module, "MIN_FORK_STEPS", 0)
+        monkeypatch.setattr(pool_module, "TASK_TICKS", 1)
         program = figd1_program()  # module-level transactions: spawn-picklable
         serial = run_serial(program, "CC")
-        explorer = ParallelExplorer(
-            program,
-            get_level("CC"),
-            workers=2,
-            min_fork_steps=0,
-            seed_factor=1,
-            start_method="spawn",
-        )
+        explorer = ParallelExplorer(program, get_level("CC"), workers=2)
         parallel = explorer.run()
         assert_equivalent(serial, parallel, "figD1/spawn")
-        assert [pid for pid in parallel.worker_stats if pid != 0]
+        assert explorer.pool.start_method == "spawn"
+        worker_calls = sum(
+            stats.explore_calls for pid, stats in parallel.worker_stats.items() if pid != 0
+        )
+        assert 0 < worker_calls <= explorer.pool.tasks_dispatched
 
 
 class TestPoolUnavailable:
     """--workers > 1 where no pool can start must fail loudly and early."""
 
-    def test_unpicklable_engine_on_spawn_raises_at_construction(self):
+    def test_unpicklable_engine_on_spawn_raises_at_construction(self, monkeypatch):
         # The courseware app builds transactions from Python closures, which
-        # spawn cannot ship.  The error must fire when the explorer is
-        # *constructed* — not hang or silently fall back to serial.
+        # spawn cannot ship.  On a spawn-only platform the error must fire
+        # when the explorer is *constructed* — not hang or silently fall
+        # back to serial.
+        import multiprocessing
+
         from repro.apps import client_program
         from repro.dpor.pool import PoolUnavailableError
 
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         program = client_program("courseware", 3, 2, 3)
         with pytest.raises(PoolUnavailableError, match="workers=1"):
-            ParallelExplorer(
-                program, get_level("CC"), workers=2, start_method="spawn"
-            )
+            ParallelExplorer(program, get_level("CC"), workers=2)
 
     def test_no_start_method_at_all_raises(self, monkeypatch):
         import multiprocessing

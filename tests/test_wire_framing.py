@@ -17,9 +17,8 @@ from repro.core.wire import (
     MAX_FRAME_BYTES,
     FrameError,
     decode_frame,
-    decode_seed_batch,
     encode_frame,
-    encode_seed_batch,
+    encode_items,
 )
 from repro.dpor import StepEngine
 from repro.dpor.stats import ExplorationStats
@@ -56,25 +55,6 @@ class TestFrameRoundTrip:
             encode_frame(256, ())
         with pytest.raises(FrameError, match="tag"):
             encode_frame(-1, ())
-
-    def test_seed_batch_round_trip(self):
-        items = frontier_items()
-        extra = (42, None, 0.25, 16384, 128, True)
-        tag, got_extra, got_items = decode_seed_batch(
-            encode_seed_batch(1, items, extra)
-        )
-        assert tag == 1
-        assert got_extra == extra
-        assert len(got_items) == len(items)
-        for (kind, oh), (got_kind, got_oh) in zip(items, got_items):
-            assert got_kind == kind
-            assert got_oh.order == oh.order
-            assert got_oh.history.canonical_key() == oh.history.canonical_key()
-            got_oh.validate()
-
-    def test_seed_batch_rejects_foreign_payload(self):
-        with pytest.raises(FrameError, match="not \\(extra, items\\)"):
-            decode_seed_batch(encode_frame(1, "not a batch"))
 
 
 class TestFrameRejection:
@@ -119,11 +99,12 @@ class TestFrameRejection:
             encode_frame(1, b"x" * 64, max_bytes=32)
 
     def test_fuzzed_corruption_never_escapes_frame_error(self):
-        # Random single-byte corruption of a real seed-batch frame either
-        # still decodes (payload bytes the pickle tolerates) or raises
-        # FrameError/pickle errors — never returns a half-validated frame.
+        # Random single-byte corruption of a frame carrying real work items
+        # either still decodes (payload bytes the pickle tolerates) or
+        # raises FrameError/pickle errors — never returns a half-validated
+        # frame.
         rng = random.Random(9)
-        frame = encode_seed_batch(1, frontier_items(), (0,))
+        frame = encode_frame(1, ((0,), encode_items(frontier_items())))
         for _ in range(64):
             pos = rng.randrange(8)  # header bytes: must always be caught
             mutated = bytearray(frame)
