@@ -8,15 +8,18 @@ then
 
 * asserts the parallel runs produce the **identical** canonical history
   set and identical outputs/filtered totals (always, on any machine),
-* records wall-clock times, speedups, and pool telemetry (start method,
-  tasks dispatched, crash/respawn counts) in
-  machine-readable ``BENCH_parallel.json`` (plus a rendered table in
-  ``parallel_scaling.txt``) in the results directory (see ``conftest.py``), and
-* gates the two ISSUE targets: **>= 1.8x** best speedup at 4 workers on a
-  multi-core machine (skipped below 4 cores), and **no regression** at
-  2 workers wherever the suite runs — on a 1-core container the floor is
-  relaxed to ``REPRO_BENCH_TWO_WORKER_FLOOR`` (default 0.75; the pool
-  cannot beat serial without a second core, but it must stay close).
+* times :data:`SAMPLES` alternating serial and parallel runs per config
+  and records the median wall-clock times, the speedups between medians,
+  every sample, and pool telemetry (start method, tasks dispatched,
+  crash/respawn counts) in machine-readable ``BENCH_parallel.json`` (plus
+  a rendered table in ``parallel_scaling.txt``) in the results directory
+  (see ``conftest.py``), and
+* gates two targets on those medians: **>= 1.8x** best speedup at
+  4 workers on a multi-core machine (skipped below 4 cores), and **no
+  regression** at 2 workers wherever the suite runs — on a 1-core
+  container the floor is relaxed to ``REPRO_BENCH_TWO_WORKER_FLOOR``
+  (default 0.75; the pool cannot beat serial without a second core, but
+  it must stay close).
 
 Worker counts default to ``2,4`` and can be overridden::
 
@@ -30,6 +33,7 @@ without editing the suite.
 import json
 import os
 import platform
+import statistics
 
 import pytest
 
@@ -50,6 +54,11 @@ SPEEDUP_TARGET = float(os.environ.get("REPRO_BENCH_SPEEDUP_TARGET", "1.8"))
 #: without a second core; this guards against the pre-pool pathology
 #: (fork-per-fan-out was 0.5-0.7x serial) while absorbing timer noise.
 ONE_CORE_TWO_WORKER_FLOOR = float(os.environ.get("REPRO_BENCH_TWO_WORKER_FLOOR", "0.75"))
+
+#: Timed runs per config and worker count.  Serial and parallel samples
+#: alternate, and the gates compare medians, so one run slowed by a
+#: neighbour on a shared machine cannot decide a speedup.
+SAMPLES = 5
 
 #: (application, sessions, txns/session, program index, base, valid) —
 #: table-F.1 rows heavy enough that one exploration dominates pool startup.
@@ -88,6 +97,24 @@ def _pool_telemetry(explorer):
     }
 
 
+def _run_record(program, label, workers, timed):
+    """One measurements row from ``timed``, a config's (result, explorer)
+    samples at one worker count: the median time and the counters."""
+    seconds = [result.stats.seconds for result, _ in timed]
+    stats = timed[-1][0].stats
+    return {
+        "program": program.name,
+        "algorithm": label,
+        "workers": workers,
+        "seconds": statistics.median(seconds),
+        "samples_s": seconds,
+        "outputs": stats.outputs,
+        "filtered": stats.filtered,
+        "end_states": stats.end_states,
+        "timed_out": any(result.stats.timed_out for result, _ in timed),
+    }
+
+
 @pytest.fixture(scope="module")
 def measurements():
     runs = []
@@ -96,44 +123,28 @@ def measurements():
         label = f"{base}+{valid}" if valid else base
         serial, _ = _explore(program, base, valid, 1, collect=True)
         serial_keys = sorted(serial.histories.keys())
-        serial_timed, _ = _explore(program, base, valid, 1, collect=False)
-        runs.append(
-            {
-                "program": program.name,
-                "algorithm": label,
-                "workers": 1,
-                "seconds": serial_timed.stats.seconds,
-                "outputs": serial_timed.stats.outputs,
-                "filtered": serial_timed.stats.filtered,
-                "end_states": serial_timed.stats.end_states,
-                "timed_out": serial_timed.stats.timed_out,
-                "speedup_vs_serial": 1.0,
-                "identical_histories": True,
-            }
-        )
+        collected = {
+            workers: _explore(program, base, valid, workers, collect=True)[0]
+            for workers in WORKER_COUNTS
+        }
+        timed = {workers: [] for workers in (1, *WORKER_COUNTS)}
+        for _ in range(SAMPLES):
+            for workers, samples in timed.items():
+                samples.append(_explore(program, base, valid, workers, collect=False))
+        serial_run = _run_record(program, label, 1, timed[1])
+        serial_run.update(speedup_vs_serial=1.0, identical_histories=True)
+        runs.append(serial_run)
         for workers in WORKER_COUNTS:
-            collected, _ = _explore(program, base, valid, workers, collect=True)
-            timed, explorer = _explore(program, base, valid, workers, collect=False)
-            runs.append(
-                {
-                    "program": program.name,
-                    "algorithm": label,
-                    "workers": workers,
-                    "seconds": timed.stats.seconds,
-                    "outputs": timed.stats.outputs,
-                    "filtered": timed.stats.filtered,
-                    "end_states": timed.stats.end_states,
-                    "timed_out": timed.stats.timed_out,
-                    "speedup_vs_serial": (
-                        serial_timed.stats.seconds / timed.stats.seconds
-                        if timed.stats.seconds
-                        else 0.0
-                    ),
-                    "identical_histories": sorted(collected.histories.keys()) == serial_keys,
-                    "worker_processes": len([p for p in collected.worker_stats if p != 0]),
-                    "pool": _pool_telemetry(explorer),
-                }
+            run = _run_record(program, label, workers, timed[workers])
+            run.update(
+                speedup_vs_serial=(
+                    serial_run["seconds"] / run["seconds"] if run["seconds"] else 0.0
+                ),
+                identical_histories=sorted(collected[workers].histories.keys()) == serial_keys,
+                worker_processes=len([p for p in collected[workers].worker_stats if p != 0]),
+                pool=_pool_telemetry(timed[workers][-1][1]),
             )
+            runs.append(run)
     return runs
 
 
@@ -172,6 +183,7 @@ def test_record_bench_parallel_json(measurements, results_dir):
             "platform": platform.platform(),
         },
         "workers_tested": [1, *WORKER_COUNTS],
+        "samples_per_run": SAMPLES,
         "runs": measurements,
         "best_speedup": {
             "program": best["program"],
@@ -204,6 +216,7 @@ def test_record_bench_parallel_json(measurements, results_dir):
             r["algorithm"],
             r["workers"],
             f"{r['seconds']:.3f}",
+            f"{min(r['samples_s']):.3f}-{max(r['samples_s']):.3f}",
             f"{r['speedup_vs_serial']:.2f}x",
             r["outputs"],
             r.get("pool", {}).get("tasks_dispatched", "-"),
@@ -211,7 +224,7 @@ def test_record_bench_parallel_json(measurements, results_dir):
         for r in measurements
     ]
     text = format_table(
-        ["program", "algorithm", "workers", "time (s)", "speedup", "histories", "tasks"],
+        ["program", "algorithm", "workers", "median (s)", "range (s)", "speedup", "histories", "tasks"],
         rows,
     )
     save_result(results_dir, "parallel_scaling", text)
@@ -223,7 +236,8 @@ def test_record_bench_parallel_json(measurements, results_dir):
     reason=f"the >={SPEEDUP_TARGET}x speedup target needs at least 4 cores",
 )
 def test_speedup_target_on_multicore(measurements):
-    """On a >= 4-core machine at least one config must reach the target."""
+    """On a >= 4-core machine at least one config must reach the target
+    (median serial time over median parallel time)."""
     best = _best_speedup(measurements)
     assert best["speedup_vs_serial"] >= SPEEDUP_TARGET, (
         f"best parallel speedup only {best['speedup_vs_serial']:.2f}x "
@@ -235,7 +249,8 @@ def test_speedup_target_on_multicore(measurements):
 def test_two_workers_never_regress(measurements):
     """workers=2 must not lose to serial — the pool's overhead story.
 
-    With >= 2 real cores the floor is 1.0 (parallelism must pay for its
+    Compared on medians of :data:`SAMPLES` alternating runs.  With >= 2
+    real cores the floor is 1.0 (parallelism must pay for its
     own freight).  On a 1-core machine parallel cannot win, so the floor
     relaxes to :data:`ONE_CORE_TWO_WORKER_FLOOR`: still tight enough to
     catch a return of the fork-per-fan-out overhead pathology.

@@ -263,13 +263,13 @@ class StepEngine:
         return history
 
 
-def validate_levels(
-    level: IsolationLevel,
-    valid_level: Optional[IsolationLevel],
-    allow_any_level: bool,
-) -> None:
-    """The level preconditions of Theorems 5.1/6.1, shared by both drivers."""
-    if not allow_any_level and not (level.prefix_closed and level.causally_extensible):
+def validate_levels(level: IsolationLevel, valid_level: Optional[IsolationLevel]) -> None:
+    """The level preconditions of Theorems 5.1/6.1, shared by both drivers.
+
+    Prefix closure is also what lets ``readLatest`` skip the consistency
+    check of a read's current source (:mod:`repro.dpor.optimality`).
+    """
+    if not (level.prefix_closed and level.causally_extensible):
         raise ValueError(
             f"exploration level {level.name} must be prefix-closed and causally "
             f"extensible; use it as valid_level on top of a weaker level instead"
@@ -293,8 +293,7 @@ class SwappingExplorer:
         The bounded transactional program to check.
     level:
         The exploration isolation level ``I0``; must be prefix-closed and
-        causally extensible for the correctness guarantees to hold (this is
-        enforced unless ``allow_any_level``).
+        causally extensible for the correctness guarantees to hold.
     valid_level:
         Optional stronger level ``I`` applied as the output filter
         (``explore-ce*``); ``None`` means ``Valid ≡ true`` (plain
@@ -318,10 +317,9 @@ class SwappingExplorer:
         collect_histories: bool = True,
         check_invariants: bool = False,
         timeout: Optional[float] = None,
-        allow_any_level: bool = False,
         restrict_swaps: bool = True,
     ):
-        validate_levels(level, valid_level, allow_any_level)
+        validate_levels(level, valid_level)
         self.program = program
         self.level = level
         self.valid_level = valid_level

@@ -128,12 +128,11 @@ class ParallelExplorer:
         collect_histories: bool = True,
         check_invariants: bool = False,
         timeout: Optional[float] = None,
-        allow_any_level: bool = False,
         restrict_swaps: bool = True,
         workers: int = 0,
         _chaos_kill_after: Optional[int] = None,
     ):
-        validate_levels(level, valid_level, allow_any_level)
+        validate_levels(level, valid_level)
         self.program = program
         self.level = level
         self.valid_level = valid_level

@@ -23,7 +23,7 @@ from repro.isolation.serializability import satisfies_ser
 from repro.isolation.snapshot import satisfies_si
 from repro.semantics.scheduler import next_action, valid_writes
 
-from tests.helpers import fig12_program, random_history
+from tests.helpers import fig8_program, fig12_program, random_history
 
 # Naive references, deliberately independent of RelationMatrix.
 
@@ -229,14 +229,12 @@ class TestSingleConstructionPerCheck:
             assert candidate.is_so_wr_acyclic()  # served by the adopted matrix
         assert self.builds() == before
 
-    def test_swap_candidates_share_one_matrix(self):
-        from repro.dpor.swaps import compute_reorderings, doomed_events
+    def drive_first_choices(self, program, level):
+        """Drive Next to completion, each read taking its first valid writer."""
+        from repro.core.events import EventId
         from repro.core.ordered_history import OrderedHistory
         from repro.semantics.scheduler import apply_action
-        from repro.core.events import EventId
 
-        program = fig12_program()
-        level = get_level("CC")
         oh = OrderedHistory.initial(program.initial_history())
         action = next_action(program, oh.history)
         while action is not None:
@@ -248,21 +246,44 @@ class TestSingleConstructionPerCheck:
                 oh = apply_action(oh, action)
             action = next_action(program, oh.history)
         oh.history.causal_matrix()
+        return oh
+
+    def test_swap_candidates_share_one_matrix(self):
+        from repro.dpor.optimality import read_latest
+        from repro.dpor.swaps import compute_reorderings, doomed_events
+
+        level = get_level("CC")
+        oh = self.drive_first_choices(fig12_program(), level)
         before = self.builds()
         pairs = compute_reorderings(oh)
         for read, target in pairs:
             doomed_events(oh, read, target)
         assert self.builds() == before, "swap computation rebuilt the relation per pair"
 
-        # readLatest builds exactly one matrix (the pruned history's) per
-        # call; every writer candidate adopts pruned-closure + add_edge.
-        from repro.dpor.optimality import read_latest
-
+        # Neither fig12 read has a committed writer later than its source
+        # in its causal past, so readLatest decides both from the current
+        # history's closure and builds nothing.
         assert pairs, "fig12 must offer at least one reordering here"
         before = self.builds()
         for read, target in pairs:
             read_latest(oh, read, target, level)
-        assert self.builds() == before + len(pairs), (
+        assert self.builds() == before, "read_latest pruned a history it did not need"
+
+    def test_read_latest_with_a_later_writer_builds_one_matrix(self):
+        """fig8 under RC: t2 reads y from init although its session
+        predecessor t1, a later writer of y, is in its causal past.  That
+        takes the pruned history, whose matrix is the one build; every
+        writer candidate adopts pruned-closure + add_edge."""
+        from repro.core.events import INIT_TXN, EventId, TxnId
+        from repro.dpor.optimality import read_latest
+
+        level = get_level("RC")
+        oh = self.drive_first_choices(fig8_program(), level)
+        read_y = EventId(TxnId("s1", 1), 2)
+        assert oh.history.wr[read_y] == INIT_TXN
+        before = self.builds()
+        assert not read_latest(oh, read_y, TxnId("s2", 0), level)
+        assert self.builds() == before + 1, (
             "read_latest must build one matrix per pruning, none per candidate"
         )
 

@@ -1,15 +1,24 @@
 """Unit tests for the Optimality condition, ``swapped`` and ``readLatest``
-(repro.dpor.optimality), driven by the paper's Figs. 12 and 13 scenarios.
+(repro.dpor.optimality), driven by the paper's Figs. 12 and 13 scenarios,
+plus a differential sweep against the paper-literal definitions.
 """
 
-from repro.core.events import TxnId
+import random
+from collections import Counter
+
+import pytest
+
+import repro.dpor.explore as explore_module
+from repro.apps import APPLICATIONS, client_program
+from repro.core.events import EventType, TxnId
 from repro.core.ordered_history import OrderedHistory
 from repro.dpor.explore import SwappingExplorer
 from repro.dpor.optimality import is_swapped, optimality, read_latest
-from repro.dpor.swaps import compute_reorderings, swap
+from repro.dpor.swaps import compute_reorderings, doomed_events, swap
 from repro.isolation import get_level
+from repro.semantics.scheduler import NextAction, extend_history
 
-from tests.helpers import fig12_program, fig13_program
+from tests.helpers import PAPER_PROGRAMS, fig12_program, fig13_program, random_program
 from tests.test_swaps import drive_all
 
 CC = get_level("CC")
@@ -140,3 +149,145 @@ class TestOptimalityGlobalEffect:
 
         result = explore_ce(fig12_program(), "CC")
         assert result.histories.duplicates == 0
+
+
+# -- differential sweep against the paper-literal definitions ---------------------
+
+#: The four ways readLatest can come out, by what the reader's causal past
+#: in the pruned history holds.
+OUTSIDE = "source outside the past"
+NO_LATER = "no later writer"
+LATER_INCONSISTENT = "later writers all inconsistent"
+LATER_CONSISTENT = "a later writer consistent"
+
+
+def reference_read_latest(oh, read, target, level):
+    """The paper-literal ``readLatest``, and which of the four outcomes it hit.
+
+    Prunes ``h`` to ``h'`` with ``remove_events``, warms its state, checks
+    every committed writer of ``var(r')`` in the reader's causal past in
+    ``h'`` and takes the ``<``-latest consistent one.
+    """
+    history = oh.history
+    current_source = history.wr[read]
+    pruned = history.remove_events(doomed_events(oh, read, target, strict=False))
+    pruned_matrix = pruned.causal_matrix()
+    level.satisfies(pruned)
+    reader = read.txn
+    var = history.event(read).var
+    in_past, consistent = [], []
+    for log in pruned.committed_transactions():
+        if not log.writes_var(var) or not pruned_matrix.reaches_reflexive(log.tid, reader):
+            continue
+        in_past.append(log.tid)
+        action = NextAction(EventType.READ, reader, var)
+        if level.satisfies(extend_history(pruned, action, writer=log.tid)):
+            consistent.append(log.tid)
+    best = max(consistent, key=oh.txn_position, default=None)
+    if current_source not in in_past:
+        return best == current_source, OUTSIDE
+    # Prefix closure: reading from the current source is always consistent.
+    assert current_source in consistent, (read, current_source)
+    source_pos = oh.txn_position(current_source)
+    later = [tid for tid in in_past if oh.txn_position(tid) > source_pos]
+    if not later:
+        outcome = NO_LATER
+    elif any(tid in consistent for tid in later):
+        outcome = LATER_CONSISTENT
+    else:
+        outcome = LATER_INCONSISTENT
+    return best == current_source, outcome
+
+
+def affected_reads(oh, read, target):
+    doomed = doomed_events(oh, read, target, strict=True)
+    return [read] + [e.eid for e in oh.history.reads() if e.eid in doomed]
+
+
+def reference_optimality(program, oh, read, target, level):
+    """Optimality with the swap and its consistency check first, then
+    ``¬swapped`` and the paper-literal ``readLatest`` read by read."""
+    swapped_oh = swap(oh, read, target)
+    if not level.satisfies(swapped_oh.history):
+        return False, None
+    for eid in affected_reads(oh, read, target):
+        if is_swapped(program, oh, eid):
+            return False, None
+        if not reference_read_latest(oh, eid, target, level)[0]:
+            return False, None
+    return True, swapped_oh
+
+
+def differential_corpus():
+    """(label, program, level name) for every exploration of the sweep."""
+    for make in PAPER_PROGRAMS:
+        for level in ("RC", "RA", "CC"):
+            yield make.__name__, make(), level
+    rng = random.Random(20230916)
+    for seed in range(150):
+        program = random_program(rng, f"rand{seed}")
+        for level in ("RC", "RA", "CC"):
+            yield program.name, program, level
+    for app in APPLICATIONS:
+        yield app, client_program(app, 2, 2, 0), "CC"
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Explore the corpus, checking each Optimality call against the reference.
+
+    Every affected read of every swap candidate gets both ``read_latest``
+    and the reference, whether or not Optimality reaches it.
+    """
+    record = {"read_latest": 0, "optimality": 0, "enabled": 0, "mismatches": []}
+    outcomes = {level: Counter() for level in ("RC", "RA", "CC")}
+    current = {}
+
+    def checked(program, oh, read, target, level):
+        got = optimality(program, oh, read, target, level)
+        want = reference_optimality(program, oh, read, target, level)
+        record["optimality"] += 1
+        where = (current["label"], level.name, read, target)
+        if got[0] != want[0]:
+            record["mismatches"].append(("optimality", where, got[0], want[0]))
+        elif got[0]:
+            record["enabled"] += 1
+            if (got[1].history.canonical_key(), got[1].order) != (
+                want[1].history.canonical_key(),
+                want[1].order,
+            ):
+                record["mismatches"].append(("swap", where))
+        for eid in affected_reads(oh, read, target):
+            answer = read_latest(oh, eid, target, level)
+            expected, outcome = reference_read_latest(oh, eid, target, level)
+            record["read_latest"] += 1
+            outcomes[level.name][outcome] += 1
+            if answer != expected:
+                record["mismatches"].append(("read_latest", where, eid, answer, expected))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore_module, "optimality", checked)
+        for label, program, level in differential_corpus():
+            current["label"] = label
+            SwappingExplorer(program, get_level(level), collect_histories=False).run()
+    record["outcomes"] = outcomes
+    return record
+
+
+class TestDifferentialAgainstPaperLiteral:
+    def test_read_latest_answers_agree(self, sweep):
+        assert sweep["read_latest"] > 1000
+        assert not [m for m in sweep["mismatches"] if m[0] == "read_latest"]
+
+    def test_optimality_verdicts_agree(self, sweep):
+        assert sweep["optimality"] > 1000 and sweep["enabled"] > 0
+        assert not [m for m in sweep["mismatches"] if m[0] == "optimality"]
+
+    def test_enabled_swaps_agree(self, sweep):
+        assert not [m for m in sweep["mismatches"] if m[0] == "swap"]
+
+    def test_sweep_reaches_all_four_outcomes(self, sweep):
+        reached = sum(sweep["outcomes"].values(), Counter())
+        for outcome in (OUTSIDE, NO_LATER, LATER_INCONSISTENT, LATER_CONSISTENT):
+            assert reached[outcome] > 0, (outcome, dict(reached))
