@@ -2,8 +2,8 @@
 
 The harness closes the loop the ROADMAP calls "real storage engine in the
 loop": it runs an ordinary :class:`~repro.lang.program.Program` — one OS
-thread per session, each transaction interpreted by the same generator
-the model checker uses (:func:`repro.semantics.executor._run`) — against
+thread per session, each transaction interpreted by the generator the
+model checker replays (:func:`repro.semantics.executor.execute`) — against
 an :class:`~repro.engine.mvcc.MVCCEngine`, adapts the engine's commit log
 into a v1 trace, replays that trace through
 :class:`~repro.checking.online.OnlineChecker`, and compares the level the
@@ -22,7 +22,7 @@ workload W at seed k" is a reproducible regression, not a flaky race.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import random
 import threading
@@ -32,7 +32,7 @@ from ..checking.online import DEFAULT_LEVELS, OnlineChecker, OnlineStep
 from ..core.events import TxnId
 from ..lang.expr import L
 from ..lang.program import Program, ProgramBuilder
-from ..semantics.executor import ReadOp, WriteOp, _run
+from ..semantics.executor import AbortOp, CommitOp, ReadOp, execute
 from ..trace.format import Trace
 from .locks import TransactionAborted, TxnKey
 from .mvcc import EngineConfig, EngineStats, MVCCEngine, SEEDED_BUGS, engine_configs
@@ -214,28 +214,18 @@ def _session_worker(
 def _run_transaction(engine: MVCCEngine, scheduler: Scheduler, session: str, txn_decl) -> None:
     """Drive one transaction body against the engine, op by op."""
     handle = scheduler.run_op(session, lambda: engine.begin(session))
-    env: Dict[str, Hashable] = {}
-    gen = _run(txn_decl.body, env)
-    aborted = False
-    try:
-        op = next(gen)
-        while True:
-            if isinstance(op, ReadOp):
-                var = op.var
-                value = scheduler.run_op(session, lambda: engine.read(handle, var))
-                op = gen.send(value)
-            elif isinstance(op, WriteOp):
-                var, val = op.var, op.value
-                scheduler.run_op(session, lambda: engine.write(handle, var, val))
-                op = gen.send(None)
-            else:  # pragma: no cover - _run only yields reads and writes
-                raise TypeError(f"unexpected operation {op!r}")
-    except StopIteration as stop:
-        aborted = bool(stop.value)
-    if aborted:
-        scheduler.run_op(session, lambda: engine.abort(handle))
-    else:
-        scheduler.run_op(session, lambda: engine.commit(handle))
+    run = execute(txn_decl, {})
+    op = next(run)
+    while not isinstance(op, (CommitOp, AbortOp)):
+        if isinstance(op, ReadOp):
+            var = op.var
+            op = run.send(scheduler.run_op(session, lambda: engine.read(handle, var)))
+        else:
+            var, value = op.var, op.value
+            scheduler.run_op(session, lambda: engine.write(handle, var, value))
+            op = run.send(None)
+    finish = engine.abort if isinstance(op, AbortOp) else engine.commit
+    scheduler.run_op(session, lambda: finish(handle))
 
 
 # ---------------------------------------------------------------------------

@@ -21,20 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple, Union
 
-from .expr import Env, Expr, ExprLike, to_expr
+from .expr import Expr, ExprLike, to_expr
 
 #: A database variable reference: a literal name or an expression computing one.
 VarRef = Union[str, Expr]
-
-
-def resolve_var(ref: VarRef, env: Env) -> str:
-    """Evaluate a variable reference to a concrete global-variable name."""
-    if isinstance(ref, str):
-        return ref
-    name = ref.evaluate(env)
-    if not isinstance(name, str):
-        raise TypeError(f"variable reference {ref!r} evaluated to non-string {name!r}")
-    return name
 
 
 class Instr:

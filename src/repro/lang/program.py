@@ -9,7 +9,8 @@ Programs must declare (or be able to infer) the universe of global variables
 they may touch: the distinguished ``init`` transaction writes an initial
 value to each of them (Def. 2.1).  Static variable names are inferred from
 the instruction tree; dynamically computed names (``VarRef`` expressions)
-must be covered by ``extra_variables``.
+must be covered by ``extra_variables`` — ``Next`` raises ``ValueError`` on
+one that is not, since no writer of it exists.
 """
 
 from __future__ import annotations
@@ -56,19 +57,6 @@ def static_variables(body: Iterable[Instr]) -> Set[str]:
             stack.extend(instr.then)
             stack.extend(instr.orelse)
     return found
-
-
-def has_dynamic_variables(body: Iterable[Instr]) -> bool:
-    """Whether the body contains computed variable references."""
-    stack: List[Instr] = list(body)
-    while stack:
-        instr = stack.pop()
-        if isinstance(instr, (Read, Write)) and not isinstance(instr.var, str):
-            return True
-        if isinstance(instr, If):
-            stack.extend(instr.then)
-            stack.extend(instr.orelse)
-    return False
 
 
 class Program:

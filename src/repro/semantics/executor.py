@@ -1,42 +1,58 @@
-"""Deterministic transaction execution with resumption by replay.
+"""Transaction bodies: one interpreter, resumed by replay.
 
-The DPOR algorithms repeatedly need "the next database operation of this
-pending transaction, given what it has executed so far".  The paper threads
-a ``locals`` map through the exploration for this; we instead *replay* the
-transaction's recorded events through a generator that interprets the body
-(rules if-true/if-false/local of Appendix B happen silently inside), which
-is equivalent because the language is deterministic given read values.
+A transaction body has one meaning (§2.3, Appendix B), and :func:`execute`
+is its only interpreter.  It is a generator over the body's compiled code:
+it yields each database operation — a :class:`ReadOp`, resumed with the
+value read, or a :class:`WriteOp`, resumed with ``None`` — and yields
+:class:`CommitOp` or :class:`AbortOp` last.  The silent rules (if-true,
+if-false, local) run inside it between yields.  Every client drives it:
 
-``next_operation(txn, log)`` returns the next :class:`ReadOp`/:class:`WriteOp`
-or the terminal :class:`CommitOp`/:class:`AbortOp`, plus the local-variable
-valuation at that point.
+* :func:`next_operation` answers ``Next`` (§5.1): the next operation of a
+  pending transaction, plus its locals valuation at that point.  The
+  paper threads a ``locals`` map through the exploration for this; we
+  instead *replay* the log's READ/WRITE events through the generator,
+  which is equivalent because the language is deterministic given read
+  values.
+* :func:`final_env` is the same replay over a complete log: the locals
+  valuation user assertions inspect.
+* The engine harness (:mod:`repro.engine.harness`) resumes the generator
+  with the values its MVCC engine returns, so difftest judges the engine
+  on the very semantics the model checker explores.
 
-Replay is the hottest loop of the exploration (one full replay per
-``Next`` query, several per explored node), so transaction bodies are
-**compiled once** into a flat tuple of instruction tuples — expressions
-become argument-capturing closures, ``if`` blocks become conditional jumps
-— and replay runs a plain dispatch loop over the compiled code.  The
-compiled form is cached on the :class:`~repro.lang.program.Transaction`
-object itself, so every history sharing a program compiles each body
-exactly once per process.  The generator interpreter :func:`_run` over the
-raw AST is kept: the differential-testing engine harness replays through it,
-and it documents the reference semantics the compiler must match.
+Replay validates.  Each recorded READ must match the variable of the
+operation the generator yields, and each recorded WRITE its variable and
+value; any mismatch raises :class:`ReplayMismatch`.  That includes a
+record longer than the body, whose terminal operation then meets a
+READ/WRITE event.
+
+Replay is the hottest loop of the exploration (one replay per ``Next``
+query), so bodies are compiled into a flat tuple of instruction triples —
+expressions become argument-capturing closures, ``if`` blocks become
+conditional jumps — cached on each
+:class:`~repro.lang.program.Transaction` object.  There is no second
+interpreter over the raw AST: two interpreters are two semantics to keep
+equal, and the engine would be judged on one the explorer never runs.
+The AST semantics lives on as a test-local reference that
+``tests/test_executor.py`` checks this interpreter against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Generator, Hashable, List, Tuple, Union
 
 from ..core.events import EventType
 from ..core.history import TransactionLog
-from ..lang.ast import Abort, Assign, Body, If, Read, Write, resolve_var
+from ..lang.ast import Abort, Assign, Body, If, Read, Write
 from ..lang.expr import BinOp, Const, Env, Expr, Fn, Local, UnOp
 from ..lang.program import Transaction
 
-#: Compiled instructions dispatched since interpreter start (replay loops of
-#: :func:`next_operation` and :func:`final_env`).  The per-node cost profile
-#: of the exploration reports deltas of this counter.
+#: Compiled instructions dispatched by :func:`execute` since interpreter
+#: start: the explorer's replays and the engine's transactions alike.  The
+#: per-node cost profile of the exploration reports deltas of this counter.
+#: The ``+=`` is not atomic.  Under the engine's ``SeededScheduler`` only
+#: one session thread interprets at a time, so the count is exact there;
+#: free-running session threads can lose increments.
 INSTRUCTIONS_EXECUTED = 0
 
 
@@ -66,32 +82,6 @@ class AbortOp:
 
 
 Operation = Union[ReadOp, WriteOp, CommitOp, AbortOp]
-
-
-def _run(instrs: Body, env: Env) -> Generator[Operation, Hashable, bool]:
-    """Interpret a body, yielding DB operations; returns True on abort.
-
-    Read operations receive the observed value via ``send``; write
-    operations receive ``None``.
-    """
-    for instr in instrs:
-        if isinstance(instr, Assign):
-            env[instr.target] = instr.expr.evaluate(env)
-        elif isinstance(instr, Read):
-            value = yield ReadOp(resolve_var(instr.var, env))
-            env[instr.target] = value
-        elif isinstance(instr, Write):
-            yield WriteOp(resolve_var(instr.var, env), instr.expr.evaluate(env))
-        elif isinstance(instr, If):
-            branch = instr.then if instr.cond.evaluate(env) else instr.orelse
-            aborted = yield from _run(branch, env)
-            if aborted:
-                return True
-        elif isinstance(instr, Abort):
-            return True
-        else:  # pragma: no cover - unreachable with the public DSL
-            raise TypeError(f"unknown instruction {instr!r}")
-    return False
 
 
 class ReplayMismatch(AssertionError):
@@ -144,7 +134,7 @@ def _compile_expr(expr: Expr) -> _Thunk:
 
 def _compile_var(ref) -> Union[str, _Thunk]:
     """A literal name stays a ``str``; a computed reference compiles to a
-    thunk that validates the result exactly like :func:`resolve_var`."""
+    thunk that rejects a non-string result with :class:`TypeError`."""
     if isinstance(ref, str):
         return ref
     thunk = _compile_expr(ref)
@@ -204,7 +194,68 @@ def compiled_code(txn: Transaction) -> Tuple[Tuple, ...]:
     return compiled
 
 
-# -- replay over compiled code -------------------------------------------------
+# -- the interpreter -----------------------------------------------------------
+
+
+def execute(txn: Transaction, env: Env) -> Generator[Operation, Hashable, None]:
+    """Run ``txn``'s body over the locals ``env``, one operation at a time.
+
+    Yields each :class:`ReadOp` (send the value read) and :class:`WriteOp`
+    (send ``None``), then :class:`CommitOp` or :class:`AbortOp` last.
+    """
+    global INSTRUCTIONS_EXECUTED
+    code = compiled_code(txn)
+    size = len(code)
+    pc = 0
+    steps = 0  # dispatched since the last yield; flushed to the counter there
+    while pc < size:
+        op, a, b = code[pc]
+        pc += 1
+        steps += 1
+        if op == _OP_ASSIGN:
+            env[a] = b(env)
+        elif op == _OP_READ:
+            INSTRUCTIONS_EXECUTED += steps
+            steps = 0
+            env[a] = yield ReadOp(b if type(b) is str else b(env))
+        elif op == _OP_WRITE:
+            INSTRUCTIONS_EXECUTED += steps
+            steps = 0
+            yield WriteOp(a if type(a) is str else a(env), b(env))
+        elif op == _OP_JUMP_IF_FALSE:
+            if not a(env):
+                pc = b
+        elif op == _OP_JUMP:
+            pc = a
+        else:  # _OP_ABORT
+            INSTRUCTIONS_EXECUTED += steps
+            yield AbortOp()
+            return
+    INSTRUCTIONS_EXECUTED += steps
+    yield CommitOp()
+
+
+# -- replay --------------------------------------------------------------------
+
+
+def _replay(txn: Transaction, log: TransactionLog) -> Tuple[Operation, Env]:
+    """Drive :func:`execute` through ``log``'s READ/WRITE events, checking
+    each against the operation yielded; return the first operation past
+    them and the locals valuation at that point."""
+    env: Env = {}
+    run = execute(txn, env)
+    op = next(run)
+    for event in log.events:
+        kind = event.type
+        if kind is EventType.READ:
+            if type(op) is not ReadOp or op.var != event.var:
+                raise ReplayMismatch(f"{log.tid!r}: expected {op!r}, recorded {event!r}")
+            op = run.send(event.value)
+        elif kind is EventType.WRITE:
+            if type(op) is not WriteOp or op.var != event.var or op.value != event.value:
+                raise ReplayMismatch(f"{log.tid!r}: expected {op!r}, recorded {event!r}")
+            op = run.send(None)
+    return op, env
 
 
 def next_operation(txn: Transaction, log: TransactionLog) -> Tuple[Operation, Env]:
@@ -216,102 +267,14 @@ def next_operation(txn: Transaction, log: TransactionLog) -> Tuple[Operation, En
     """
     if log.is_complete:
         raise ValueError(f"transaction {log.tid!r} is complete")
-    global INSTRUCTIONS_EXECUTED
-    code = compiled_code(txn)
-    env: Env = {}
-    recorded = [e for e in log.events if e.type in (EventType.READ, EventType.WRITE)]
-    size = len(code)
-    replay_to = len(recorded)
-    pos = 0
-    pc = 0
-    steps = 0
-    while pc < size:
-        op, a, b = code[pc]
-        pc += 1
-        steps += 1
-        if op == _OP_ASSIGN:
-            env[a] = b(env)
-        elif op == _OP_READ:
-            var = b if type(b) is str else b(env)
-            if pos < replay_to:
-                event = recorded[pos]
-                if event.type is not EventType.READ or var != event.var:
-                    raise ReplayMismatch(
-                        f"{log.tid!r}: expected {ReadOp(var)!r}, recorded {event!r}"
-                    )
-                env[a] = event.value
-                pos += 1
-            else:
-                INSTRUCTIONS_EXECUTED += steps
-                return ReadOp(var), env
-        elif op == _OP_WRITE:
-            var = a if type(a) is str else a(env)
-            value = b(env)
-            if pos < replay_to:
-                event = recorded[pos]
-                if event.type is not EventType.WRITE or var != event.var or value != event.value:
-                    raise ReplayMismatch(
-                        f"{log.tid!r}: expected {WriteOp(var, value)!r}, recorded {event!r}"
-                    )
-                pos += 1
-            else:
-                INSTRUCTIONS_EXECUTED += steps
-                return WriteOp(var, value), env
-        elif op == _OP_JUMP_IF_FALSE:
-            if not a(env):
-                pc = b
-        elif op == _OP_JUMP:
-            pc = a
-        else:  # _OP_ABORT
-            if pos < replay_to:
-                raise ReplayMismatch(f"{log.tid!r}: body ended before recorded {recorded[pos]!r}")
-            INSTRUCTIONS_EXECUTED += steps
-            return AbortOp(), env
-    if pos < replay_to:
-        raise ReplayMismatch(f"{log.tid!r}: body ended before recorded {recorded[pos]!r}")
-    INSTRUCTIONS_EXECUTED += steps
-    return CommitOp(), env
+    return _replay(txn, log)
 
 
 def final_env(txn: Transaction, log: TransactionLog) -> Env:
     """Local-variable valuation of a *complete* transaction log.
 
-    Used for user assertions over final states.  Replay is positional and
-    non-validating (complete logs were validated when built): reads take
-    the recorded value, writes are skipped — their expressions cannot bind
-    locals — and an abort instruction or an exhausted record ends replay.
+    Used for user assertions over final states.  The replay validates the
+    log like :func:`next_operation` does, so a log its body cannot produce
+    raises :class:`ReplayMismatch`.
     """
-    global INSTRUCTIONS_EXECUTED
-    code = compiled_code(txn)
-    env: Env = {}
-    recorded = [e for e in log.events if e.type in (EventType.READ, EventType.WRITE)]
-    size = len(code)
-    replay_to = len(recorded)
-    pos = 0
-    pc = 0
-    steps = 0
-    while pc < size:
-        op, a, b = code[pc]
-        pc += 1
-        steps += 1
-        if op == _OP_ASSIGN:
-            env[a] = b(env)
-        elif op == _OP_READ:
-            if pos >= replay_to:
-                break
-            event = recorded[pos]
-            env[a] = event.value if event.type is EventType.READ else None
-            pos += 1
-        elif op == _OP_WRITE:
-            if pos >= replay_to:
-                break
-            pos += 1
-        elif op == _OP_JUMP_IF_FALSE:
-            if not a(env):
-                pc = b
-        elif op == _OP_JUMP:
-            pc = a
-        else:  # _OP_ABORT
-            break
-    INSTRUCTIONS_EXECUTED += steps
-    return env
+    return _replay(txn, log)[1]

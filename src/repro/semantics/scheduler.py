@@ -81,6 +81,14 @@ def next_action(program: Program, history: History) -> Optional[NextAction]:
 def _pending_action(program: Program, history: History, tid: TxnId) -> NextAction:
     log = history.txns[tid]
     op, _env = next_operation(program.transaction(tid), log)
+    if isinstance(op, (ReadOp, WriteOp)) and not history.txns[INIT_TXN].writes_var(op.var):
+        # A computed name outside the program's universe: init does not
+        # write it, so a read of it has no writer and ValidWrites would
+        # silently block the branch.
+        raise ValueError(
+            f"transaction {tid!r} accesses variable {op.var!r}, which init does not "
+            "write; declare computed names in the program's extra_variables"
+        )
     if isinstance(op, ReadOp):
         last_write = log.last_write_before(op.var, len(log.events))
         if last_write is not None:

@@ -1,7 +1,5 @@
 """Unit tests for programs, the DSL and the oracle order (repro.lang)."""
 
-import pytest
-
 from repro.core.events import INIT_TXN, TxnId
 from repro.lang import (
     L,
@@ -14,9 +12,8 @@ from repro.lang import (
     read,
     write,
 )
-from repro.lang.ast import resolve_var
 from repro.lang.expr import concat
-from repro.lang.program import has_dynamic_variables, static_variables
+from repro.lang.program import static_variables
 
 
 class TestAstConstructors:
@@ -32,12 +29,6 @@ class TestAstConstructors:
         instr = if_(L("a") == 0, then=[abort()], orelse=[assign("b", 1)])
         assert isinstance(instr.then, tuple) and isinstance(instr.orelse, tuple)
 
-    def test_resolve_var(self):
-        assert resolve_var("x", {}) == "x"
-        assert resolve_var(concat("row_", L("k")), {"k": 2}) == "row_2"
-        with pytest.raises(TypeError):
-            resolve_var(L("k"), {"k": 7})  # non-string name
-
 
 class TestVariableInference:
     def test_static_variables_sees_through_ifs(self):
@@ -46,7 +37,6 @@ class TestVariableInference:
 
     def test_dynamic_variable_detection(self):
         body = (read("a", concat("row_", L("k"))),)
-        assert has_dynamic_variables(body)
         assert static_variables(body) == set()
 
     def test_program_collects_variables(self):

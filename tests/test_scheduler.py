@@ -5,9 +5,13 @@ import pytest
 from repro.core.events import EventType, INIT_TXN, TxnId
 from repro.core.ordered_history import OrderedHistory
 from repro.isolation import get_level
-from repro.lang import L, ProgramBuilder
+from repro import ModelChecker
+from repro.checking.assertions import local_equals
+from repro.lang import L, Program, ProgramBuilder, Transaction, assign, read, write
+from repro.lang.expr import concat
 from repro.semantics import (
     apply_action,
+    enumerate_histories,
     extend_history,
     next_action,
     pending_transaction,
@@ -81,6 +85,29 @@ class TestNextAction:
         h, _ = h.begin_transaction("s1")
         with pytest.raises(AssertionError):
             pending_transaction(h)
+
+
+class TestUndeclaredVariables:
+    """A computed name outside the program's universe is a typed error.
+
+    ``init`` writes only the declared variables, so a read of any other
+    name has no writer.  Unchecked, ValidWrites returns nothing and the
+    branch counts as blocked: 0 histories at CC, against Theorem 3.4.
+    """
+
+    def test_model_checker_and_dfs_raise(self):
+        body = (assign("k", 1), read("a", concat("row_", L("k"))), write("x", L("a")))
+        program = Program({"s": [Transaction("t", body)]})
+        with pytest.raises(ValueError, match=r"t\(s,0\).*'row_1'.*extra_variables"):
+            ModelChecker(program, isolation="CC").run(assertions=[local_equals("s", "a", 99)])
+        with pytest.raises(ValueError, match="'row_1'"):
+            enumerate_histories(program, CC)
+
+    def test_computed_write_name_raises(self):
+        body = (assign("k", 2), write(concat("row_", L("k")), 1))
+        program = Program({"s": [Transaction("t", body)]}, extra_variables=("row_1",))
+        with pytest.raises(ValueError, match="'row_2'"):
+            drive(program)
 
 
 class TestUnstarted:
