@@ -1,10 +1,9 @@
 """Serial vs. parallel exploration wall time on the application benchmarks.
 
 Runs the table-F.1 application programs (at a scale where one exploration
-takes a measurable fraction of a second) through the sequential
-:class:`~repro.dpor.explore.SwappingExplorer` and the persistent-pool
-:class:`~repro.dpor.parallel.ParallelExplorer` at several worker counts,
-then
+takes a measurable fraction of a second) through
+:class:`~repro.dpor.explore.SwappingExplorer`, in-process and on its
+persistent worker pool at several worker counts, then
 
 * asserts the parallel runs produce the **identical** canonical history
   set and identical outputs/filtered totals (always, on any machine),
@@ -40,7 +39,7 @@ import pytest
 from conftest import TIMEOUT, save_result
 from repro.apps import client_program
 from repro.bench.reporting import format_table
-from repro.dpor import ParallelExplorer, SwappingExplorer
+from repro.dpor import SwappingExplorer
 from repro.isolation import get_level
 
 WORKER_COUNTS = tuple(
@@ -76,10 +75,7 @@ def _explore(program, base, valid, workers, collect):
         collect_histories=collect,
         timeout=TIMEOUT,
     )
-    if workers == 1:
-        explorer = SwappingExplorer(program, get_level(base), **kwargs)
-    else:
-        explorer = ParallelExplorer(program, get_level(base), workers=workers, **kwargs)
+    explorer = SwappingExplorer(program, get_level(base), workers=workers, **kwargs)
     return explorer.run(), explorer
 
 

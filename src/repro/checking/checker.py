@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..dpor.explore import SwappingExplorer
-from ..dpor.parallel import ParallelExplorer, resolve_workers
+from ..dpor.explore import SwappingExplorer, resolve_workers
 from ..isolation.base import IsolationLevel, get_level, registered_levels
 from ..lang.program import Program
 from ..semantics.enumerate import enumerate_histories
@@ -183,16 +182,14 @@ class ModelChecker:
                 outcomes=outcomes,
             )
 
-        explorer_cls = SwappingExplorer if self.workers == 1 else ParallelExplorer
-        explorer_kwargs = {} if self.workers == 1 else {"workers": self.workers}
-        explorer = explorer_cls(
+        explorer = SwappingExplorer(
             self.program,
             self.base or self.level,
             valid_level=self.level if self.base is not None else None,
             on_output=on_history,
             collect_histories=False,
             timeout=timeout,
-            **explorer_kwargs,
+            workers=self.workers,
         )
         run = explorer.run()
         return CheckResult(

@@ -164,25 +164,6 @@ class _PrefixFacts:
         return self._checker._causal.reaches(a, b)
 
 
-@dataclass(frozen=True)
-class Frontier:
-    """A snapshot of the checker's live window (watermark API).
-
-    ``events`` counts every event fed so far; ``live`` the transactions
-    currently materialised (``init`` included); ``evicted`` the
-    transactions garbage-collected via :meth:`OnlineChecker.evict`;
-    ``pending`` the still-open transactions (at most one per session);
-    ``settled`` the live transactions whose causal ancestor cone is fully
-    complete — the frozen past that eviction policies may nominate from.
-    """
-
-    events: int
-    live: int
-    evicted: int
-    pending: Tuple[TxnId, ...]
-    settled: Tuple[TxnId, ...]
-
-
 class OnlineChecker:
     """Streaming isolation checker over a growing trace.
 
@@ -205,9 +186,9 @@ class OnlineChecker:
 
     Use :meth:`from_header` / :meth:`from_trace` when starting from a
     recorded trace, :meth:`feed` per streamed event, and :meth:`replay`
-    for the whole-trace convenience loop.  :meth:`evict` and
-    :meth:`frontier` are the garbage-collection mechanism the streaming
-    monitor drives (policy lives in :mod:`repro.isolation.liveness`).
+    for the whole-trace convenience loop.  :meth:`evict` is the
+    garbage-collection mechanism the streaming monitor drives (policy
+    lives in :mod:`repro.isolation.liveness`).
     """
 
     def __init__(
@@ -361,18 +342,6 @@ class OnlineChecker:
                 mask |= 1 << self._causal.index_of(tid)
         return mask
 
-    def is_settled(self, tid: TxnId, pending_mask: Optional[int] = None) -> bool:
-        """Whether ``tid``'s causal (``so ∪ wr``) ancestor cone is complete.
-
-        A settled transaction's in-edge set and premise-relevant past are
-        frozen: no pending ancestor can still write, so no new axiom
-        instance against its reads can ever fire.  This is the common gate
-        of every eviction policy.
-        """
-        if pending_mask is None:
-            pending_mask = self.pending_mask()
-        return not (self._causal.ancestors_mask(tid) & pending_mask)
-
     def live_wr_sources(self) -> Set[TxnId]:
         """Transactions named as wr source by a read that can still re-arm.
 
@@ -395,24 +364,6 @@ class OnlineChecker:
     def saturation_states(self) -> Tuple["IncrementalSaturation", ...]:
         """The per-level saturation states (read-only; GC-gate probing)."""
         return tuple(self._saturation.values())
-
-    def frontier(self) -> Frontier:
-        """The live-window snapshot (see :class:`Frontier`)."""
-        pending_mask = self.pending_mask()
-        pending = self.pending_transactions()
-        settled = tuple(
-            tid for tid in self._replayer.transactions()
-            if tid != INIT_TXN
-            and self._replayer.is_complete(tid)
-            and not (self._causal.ancestors_mask(tid) & pending_mask)
-        )
-        return Frontier(
-            events=self._replayer.event_count,
-            live=self._replayer.live_count,
-            evicted=self._evicted,
-            pending=pending,
-            settled=settled,
-        )
 
     @property
     def evicted_count(self) -> int:

@@ -85,8 +85,8 @@ from .core.dot import history_to_dot
 from .lang.parser import ParseError, parse_program
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """An argparse ``type`` for an integer flag with a lower bound."""
+def _int_at_least(minimum: int, maximum: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer flag with a lower (and upper) bound."""
 
     def parse(text: str) -> int:
         try:
@@ -95,6 +95,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -501,11 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="any registered level — see 'repro levels' (default RC)",
     )
     monitor.add_argument("--stdin", action="store_true", help="read JSONL trace events from stdin")
-    monitor.add_argument("--port", type=int, default=None, help="listen on TCP PORT for one connection instead")
-    monitor.add_argument("--stats-every", type=int, default=0, help="print a stats line every N events (0 = never)")
-    monitor.add_argument("--window", type=int, default=64, help="retention / freshness window (default 64)")
-    monitor.add_argument("--gc-every", type=int, default=128, help="events between collections (default 128)")
-    monitor.add_argument("--evict-batch", type=int, default=16, help="victims batched per compaction (default 16)")
+    monitor.add_argument("--port", type=_int_at_least(0, 65535), default=None, help="listen on TCP PORT for one connection instead")
+    monitor.add_argument("--stats-every", type=_int_at_least(0), default=0, help="print a stats line every N events (0 = never)")
+    monitor.add_argument("--window", type=_int_at_least(1), default=64, help="retention / freshness window (default 64)")
+    monitor.add_argument("--gc-every", type=_int_at_least(1), default=128, help="events between collections (default 128)")
+    monitor.add_argument("--evict-batch", type=_int_at_least(1), default=16, help="victims batched per compaction (default 16)")
     monitor.add_argument(
         "--stale",
         default="keep",

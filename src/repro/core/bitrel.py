@@ -336,10 +336,6 @@ class RelationMatrix:
             self._acyclic = False
         return True
 
-    def add_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        for src, dst in edges:
-            self.add_edge(src, dst)
-
     def retract_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
         """Remove one-step edges and recompute the closure from ``succ``.
 

@@ -21,7 +21,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .bitrel import RelationMatrix
 from .events import INIT_TXN, Event, EventId, EventType, TxnId
@@ -338,11 +338,6 @@ class History:
             count = sum(len(log) for log in self.txns.values())
             self._cache["event_count"] = count
         return count
-
-    def last_transaction(self, session: str) -> Optional[TransactionLog]:
-        """``last(h, j)``: the last transaction log in session order of ``j``."""
-        order = self.sessions.get(session)
-        return self.txns[order[-1]] if order else None
 
     def pending_transactions(self) -> List[TransactionLog]:
         logs = self._cache.get("pending_txns")

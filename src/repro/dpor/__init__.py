@@ -1,9 +1,8 @@
 """Swapping-based DPOR model checking (paper §4-§6)."""
 
 from .algorithms import dfs_baseline, explore_ce, explore_ce_star
-from .explore import ExplorationResult, StepEngine, SwappingExplorer
+from .explore import ExplorationResult, StepEngine, SwappingExplorer, resolve_workers
 from .optimality import is_swapped, optimality, read_latest
-from .parallel import ParallelExplorer, resolve_workers
 from .pool import PersistentPool, PoolUnavailableError
 from .stats import ExplorationStats
 from .swaps import compute_reorderings, swap
@@ -13,7 +12,6 @@ __all__ = [
     "explore_ce",
     "explore_ce_star",
     "ExplorationResult",
-    "ParallelExplorer",
     "PersistentPool",
     "PoolUnavailableError",
     "resolve_workers",

@@ -15,7 +15,6 @@ from ..isolation.base import IsolationLevel, get_level
 from ..lang.program import Program
 from ..semantics.enumerate import EnumerationResult, enumerate_histories
 from .explore import ExplorationResult, SwappingExplorer
-from .parallel import ParallelExplorer
 
 LevelLike = Union[str, IsolationLevel]
 
@@ -24,23 +23,17 @@ def _resolve(level: LevelLike) -> IsolationLevel:
     return get_level(level) if isinstance(level, str) else level
 
 
-def _make_explorer(program, level, workers: int = 1, **kwargs):
-    if workers == 1:
-        return SwappingExplorer(program, level, **kwargs)
-    return ParallelExplorer(program, level, workers=workers, **kwargs)
-
-
 def explore_ce(
     program: Program, level: LevelLike = "CC", workers: int = 1, **kwargs
 ) -> ExplorationResult:
     """Run ``explore-ce(level)`` on ``program`` (Theorem 5.1).
 
     ``level`` must be prefix-closed and causally extensible (RC/RA/CC/true).
-    ``workers`` > 1 (or 0 for one per CPU) spreads the exploration over a
-    process pool (:class:`ParallelExplorer`) with identical outputs.
-    Keyword arguments are forwarded to the explorer.
+    ``workers`` > 1 (or 0 for one per CPU, on a host with several) spreads
+    the exploration over a process pool with identical outputs.  Keyword
+    arguments are forwarded to :class:`SwappingExplorer`.
     """
-    return _make_explorer(program, _resolve(level), workers=workers, **kwargs).run()
+    return SwappingExplorer(program, _resolve(level), workers=workers, **kwargs).run()
 
 
 def explore_ce_star(
@@ -57,7 +50,7 @@ def explore_ce_star(
     level, e.g. ``explore_ce_star(p, "CC", "SI")``.  ``workers`` as in
     :func:`explore_ce`.
     """
-    return _make_explorer(
+    return SwappingExplorer(
         program,
         _resolve(explore_level),
         valid_level=_resolve(valid_level),

@@ -23,11 +23,14 @@ polynomial-memory bound and is reported in the statistics.
 
 The per-node body of the recursion lives in :class:`StepEngine`: one
 ``explore``/``exploreSwaps`` call mapped to the continuations it pushes and
-the histories it outputs.  The engine holds only the run *configuration*
-(program, levels, ablation switches) and no exploration state, so the same
-instance serves the sequential driver here and the multiprocess driver in
-:mod:`repro.dpor.parallel` — the subtree rooted at any stack entry can be
-explored by whoever holds the entry.
+the histories it outputs, and :meth:`StepEngine.drain` is the one loop
+that runs a work stack through it.  The engine holds only the run
+*configuration* (program, levels, ablation switches) and no exploration
+state, so the subtree rooted at any stack entry can be explored by
+whoever holds the entry: :class:`SwappingExplorer` drains the whole tree
+in-process with one worker, or fans it out over the worker pool of
+:mod:`repro.dpor.parallel` with several, where each worker drains its
+subtrees through the same loop.
 
 All causality queries issued on behalf of the exploration — swap-candidate
 filtering, doomed-event pruning, and the consistency checks behind
@@ -39,6 +42,8 @@ explored history rather than once per query.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -66,8 +71,9 @@ class ExplorationResult:
     algorithm: str
     stats: ExplorationStats
     histories: Optional[HistorySet]
-    #: For parallel runs: per-worker-process statistics keyed by pid (the
-    #: coordinator's seed-phase stats under key 0); ``None`` for serial runs.
+    #: For runs on the worker pool: per-worker-process statistics keyed by
+    #: pid (the coordinator's seed-phase stats under key 0); ``None`` for
+    #: in-process runs.
     worker_stats: Optional[Dict[int, ExplorationStats]] = None
 
     @property
@@ -166,18 +172,24 @@ class StepEngine:
         emit: Callable[[History], None],
         deadline: Optional[float] = None,
         poll_every: int = 32,
+        slice_end: Optional[float] = None,
+        max_steps: int = sys.maxsize,
     ) -> None:
-        """Run a LIFO work stack to exhaustion (or deadline) in-process.
+        """Run a LIFO work stack depth-first, in place.
 
-        The shared serial drive loop: pops depth-first, steps, maintains the
-        ``peak_stack``/``peak_live_events`` gauges, and hands every output
-        history to ``emit``.  ``poll_every`` sets the deadline-check
-        granularity (the sequential driver polls every 32 ticks; the
-        parallel coordinator's no-fork fallback polls every tick).  On
-        expiry ``stats.timed_out`` is set and the rest of the stack is
-        abandoned.  The worker-side loop in :mod:`repro.dpor.pool` is
-        separate because it additionally ends each task at a time slice
-        or step cap and ships outputs instead of emitting them.
+        The one drive loop of the exploration: it serves the in-process
+        run, every pool worker's task and the pool-loss fallback.  It pops,
+        steps, maintains the ``peak_stack``/``peak_live_events`` gauges, and
+        hands every output history to ``emit``.
+
+        * ``deadline`` (``time.monotonic``) is polled every ``poll_every``
+          steps: 32 in-process, 1 in the pool, where nobody can interrupt
+          a busy worker.  On expiry ``stats.timed_out`` is set and the
+          stack is cleared.
+        * A pool task's time slice ends the drain early, once
+          ``time.perf_counter()`` passes ``slice_end`` or after
+          ``max_steps`` steps; the stack then holds the unexplored
+          remainder.
         """
         live_events = sum(item[1].history.event_count() for item in stack)
         ticks = 0
@@ -185,6 +197,9 @@ class StepEngine:
             ticks += 1
             if deadline is not None and ticks % poll_every == 0 and time.monotonic() > deadline:
                 stats.timed_out = True
+                stack.clear()
+                return
+            if ticks > max_steps or (slice_end is not None and time.perf_counter() > slice_end):
                 return
             kind, oh = stack.pop()
             live_events -= oh.history.event_count()
@@ -264,7 +279,7 @@ class StepEngine:
 
 
 def validate_levels(level: IsolationLevel, valid_level: Optional[IsolationLevel]) -> None:
-    """The level preconditions of Theorems 5.1/6.1, shared by both drivers.
+    """The level preconditions of Theorems 5.1/6.1.
 
     Prefix closure is also what lets ``readLatest`` skip the consistency
     check of a read's current source (:mod:`repro.dpor.optimality`).
@@ -278,6 +293,15 @@ def validate_levels(level: IsolationLevel, valid_level: Optional[IsolationLevel]
         raise ValueError(f"{level.name} must be weaker than {valid_level.name}")
 
 
+def resolve_workers(workers: int) -> int:
+    """Normalize a ``workers`` request: ``0`` means one per CPU."""
+    if workers == 0:
+        return os.cpu_count() or 1
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    return workers
+
+
 def algorithm_name(level: IsolationLevel, valid_level: Optional[IsolationLevel]) -> str:
     if valid_level is None:
         return f"explore-ce({level.name})"
@@ -285,7 +309,7 @@ def algorithm_name(level: IsolationLevel, valid_level: Optional[IsolationLevel])
 
 
 class SwappingExplorer:
-    """One configured sequential run of the swapping-based exploration.
+    """One configured run of the swapping-based exploration.
 
     Parameters
     ----------
@@ -306,6 +330,13 @@ class SwappingExplorer:
     check_invariants:
         Re-validate the ordered-history invariants and the
         strong-optimality property at every call (slow; used in tests).
+    workers:
+        Process count; ``0`` means one per CPU.  With ``1`` (the default)
+        the tree is drained in-process.  With ``N > 1`` it is spread over
+        a pool of ``N`` worker processes (:mod:`repro.dpor.parallel`) with
+        the same output histories and the same additive counters; where
+        no pool can start, construction raises
+        :class:`~repro.dpor.pool.PoolUnavailableError`.
     """
 
     def __init__(
@@ -318,6 +349,8 @@ class SwappingExplorer:
         check_invariants: bool = False,
         timeout: Optional[float] = None,
         restrict_swaps: bool = True,
+        workers: int = 1,
+        _chaos_kill_after: Optional[int] = None,
     ):
         validate_levels(level, valid_level)
         self.program = program
@@ -328,6 +361,8 @@ class SwappingExplorer:
         self.check_invariants = check_invariants
         self.timeout = timeout
         self.restrict_swaps = restrict_swaps
+        self.workers = resolve_workers(workers)
+        self._chaos_kill_after = _chaos_kill_after
         self.engine = StepEngine(
             program,
             level,
@@ -335,8 +370,20 @@ class SwappingExplorer:
             check_invariants=check_invariants,
             restrict_swaps=restrict_swaps,
         )
+        if self.workers > 1:
+            # Fail fast: a multi-worker request on a platform with no usable
+            # pool is a configuration error the caller must hear about now,
+            # not a hang at fan-out time.  (The pool imports this module.)
+            from .pool import available_start_method
+
+            available_start_method(self.engine)
         self.stats = ExplorationStats()
         self.histories: Optional[HistorySet] = HistorySet() if collect_histories else None
+        #: The pool of the most recent multi-worker :meth:`run` (telemetry:
+        #: start method, tasks dispatched, crashes, respawns); ``None``
+        #: before it and with one worker.  When the seed probe finishes the
+        #: tree itself the pool exists but never started.
+        self.pool = None
 
     @property
     def algorithm_name(self) -> str:
@@ -348,11 +395,20 @@ class SwappingExplorer:
         """Execute the exploration to completion (or timeout)."""
         start = time.monotonic()
         deadline = start + self.timeout if self.timeout else None
-        self.engine.drain(
-            [self.engine.initial_item()], self.stats, self._emit, deadline=deadline
-        )
+        worker_stats = None
+        if self.workers == 1:
+            self.engine.drain(
+                [self.engine.initial_item()], self.stats, self._emit, deadline=deadline
+            )
+        else:
+            from .parallel import explore_on_pool  # the pool imports this module
+
+            worker_stats = explore_on_pool(self, deadline)
+            self.stats = sum(worker_stats.values(), ExplorationStats())
         self.stats.seconds = time.monotonic() - start
-        return ExplorationResult(self.program.name, self.algorithm_name, self.stats, self.histories)
+        return ExplorationResult(
+            self.program.name, self.algorithm_name, self.stats, self.histories, worker_stats
+        )
 
     def _emit(self, history: History) -> None:
         if self.histories is not None:

@@ -1,4 +1,4 @@
-"""Persistent worker runtime for the parallel exploration.
+"""Persistent worker runtime for the multi-worker exploration.
 
 The first-generation parallel driver paid its overhead per *task*: every
 frontier seed was pickled on its own, handed to a fork-pool future, and the
@@ -16,8 +16,9 @@ module replaces it with a runtime whose costs are paid once per **run**:
   silently serialising.
 
 * **One fixed policy.**  Every ``TASK`` frame (the length-prefixed frames
-  of :mod:`repro.core.wire`) carries one seed.  The worker explores it
-  depth-first for one time slice (:data:`TASK_BUDGET`, capped at
+  of :mod:`repro.core.wire`) carries one seed.  The worker drains it
+  through :meth:`~repro.dpor.explore.StepEngine.drain` — the same loop as
+  the in-process run — for one time slice (:data:`TASK_BUDGET`, capped at
   :data:`TASK_TICKS` steps) and answers with one ``DONE`` frame holding
   its statistics, its output histories and its whole unfinished stack,
   which the coordinator re-queues as new seeds (work sharing).  Both
@@ -32,6 +33,13 @@ module replaces it with a runtime whose costs are paid once per **run**:
   ``kill -9``.  Dead workers are respawned up to :attr:`~PersistentPool.max_respawns`;
   if the whole pool is lost the coordinator drains the remaining frontier
   itself (exact, just slower).
+
+* **Task errors are not crashes.**  An exception raised inside a task (a
+  body error in the program, say) travels back in the ``DONE`` frame with
+  its formatted traceback.  The coordinator commits nothing from that
+  task, stops every worker at once and re-raises the exception from a
+  :class:`WorkerTraceback`, so the caller sees it once, as if the
+  exploration had run in-process.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+import traceback
 from collections import deque
 from itertools import count
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -63,7 +72,7 @@ _ENGINE_TOKENS = count()
 
 # Frame tags of the pool protocol (one byte each; see repro.core.wire).
 TAG_TASK = 1  #: coordinator → worker: (meta, one seed)
-TAG_DONE = 3  #: worker → coordinator: task finished (stats, outputs, remainder)
+TAG_DONE = 3  #: worker → coordinator: task finished (stats, outputs, remainder, error)
 TAG_SHUTDOWN = 4  #: coordinator → worker: exit the serve loop
 
 #: Seconds of exploration per task: the worker's time slice.  Long enough
@@ -85,6 +94,14 @@ class PoolUnavailableError(RuntimeError):
     ``spawn``/``forkserver`` pool.  Re-run with ``workers=1`` (the
     documented fallback) or make the program picklable.
     """
+
+
+class WorkerTraceback(Exception):
+    """The traceback of a task error, as formatted in the worker that raised
+    it; the coordinator re-raises the error ``from`` this."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def available_start_method(engine: StepEngine) -> str:
@@ -155,49 +172,27 @@ def _worker_main(
         assert tag == TAG_TASK, f"worker received unexpected frame tag {tag}"
         (time_left, budget, max_ticks, ship_outputs), seed = payload
         stack: List[WorkItem] = decode_items([seed])
-        deadline = time.monotonic() + time_left if time_left is not None else None
-        slice_end = time.perf_counter() + budget
         stats = ExplorationStats()
         outputs: List[History] = []
-        live_events = stack[0][1].history.event_count()
-        ticks = 0
-        timed_out = False
-        while stack:
-            # Global deadline first, every tick: the coordinator cannot
-            # interrupt a busy worker, so overshoot must stay one step.
-            if deadline is not None and time.monotonic() > deadline:
-                timed_out = True
-                stack.clear()
-                break
-            ticks += 1
-            if ticks > max_ticks or time.perf_counter() > slice_end:
-                break  # time slice over: return the remainder for rebalancing
-            kind, oh = stack.pop()
-            live_events -= oh.history.event_count()
-            pushed, outs = engine.step(oh, kind, stats)
-            if ship_outputs:
-                outputs.extend(outs)
-            stack.extend(reversed(pushed))
-            live_events += sum(item[1].history.event_count() for item in pushed)
-            if len(stack) > stats.peak_stack:
-                stats.peak_stack = len(stack)
-            if live_events > stats.peak_live_events:
-                stats.peak_live_events = live_events
+        try:
+            engine.drain(
+                stack,
+                stats,
+                outputs.append,
+                deadline=None if time_left is None else time.monotonic() + time_left,
+                poll_every=1,
+                slice_end=time.perf_counter() + budget,
+                max_steps=max_ticks,
+            )
+            wired = [history_to_wire(h) for h in outputs] if ship_outputs else []
+            done = (os.getpid(), stats, wired, encode_items(stack), None)
+        except Exception as err:  # a task error: the coordinator re-raises it
+            done = (os.getpid(), None, [], [], (err, traceback.format_exc()))
         tasks_served += 1
         if chaos_exit_after is not None and tasks_served >= chaos_exit_after:
             os._exit(17)  # crash-recovery hook: die before committing
-        done = encode_frame(
-            TAG_DONE,
-            (
-                os.getpid(),
-                stats,
-                [history_to_wire(h) for h in outputs],
-                encode_items(stack),
-                timed_out,
-            ),
-        )
         try:
-            conn.send_bytes(done)
+            conn.send_bytes(encode_frame(TAG_DONE, done))
         except (BrokenPipeError, OSError):
             return
 
@@ -221,9 +216,9 @@ class _Worker:
 class PersistentPool:
     """Long-lived worker processes serving one exploration run.
 
-    Created (and torn down) once per :meth:`ParallelExplorer.run` fan-out;
-    every task reuses the same processes and pipes.  See the module
-    docstring for the protocol.
+    Created (and torn down) once per multi-worker
+    :meth:`~repro.dpor.explore.SwappingExplorer.run`; every task reuses the
+    same processes and pipes.  See the module docstring for the protocol.
     """
 
     def __init__(
@@ -273,8 +268,12 @@ class PersistentPool:
         child_conn.close()
         return _Worker(process, parent_conn)
 
-    def shutdown(self) -> None:
+    def shutdown(self, kill: bool = False) -> None:
+        """Stop every worker: after its current task, or at once with ``kill``."""
         for worker in self._alive:
+            if kill:
+                worker.process.terminate()
+                continue
             try:
                 worker.conn.send_bytes(encode_frame(TAG_SHUTDOWN, None))
             except (BrokenPipeError, OSError):
@@ -324,7 +323,13 @@ class PersistentPool:
                 if pending:
                     # Whole pool lost and respawns exhausted: finish on the
                     # coordinator — exactness over speed.
-                    self._drain_serially(pending, deadline, emit, coordinator_stats)
+                    self.engine.drain(
+                        decode_items(list(pending)),
+                        coordinator_stats,
+                        emit,
+                        deadline=deadline,
+                        poll_every=1,
+                    )
                     return coordinator_stats.timed_out or timed_out
                 break
             ready = conn_wait(
@@ -373,7 +378,10 @@ class PersistentPool:
         emit: Callable[[History], None],
         worker_stats: Dict[int, ExplorationStats],
     ) -> bool:
-        """Read one DONE frame from a busy worker; returns ``True`` on timeout."""
+        """Read one DONE frame from a busy worker; returns ``True`` on timeout.
+
+        Re-raises the exception of a task that raised one.
+        """
         try:
             frame = worker.conn.recv_bytes()
         except (EOFError, OSError):
@@ -381,15 +389,22 @@ class PersistentPool:
             return False
         tag, payload = decode_frame(frame)
         assert tag == TAG_DONE, f"coordinator received unexpected frame tag {tag}"
-        pid, stats, outputs_wire, returned, task_timed_out = payload
+        pid, stats, outputs_wire, returned, error = payload
+        worker.inflight = None
+        if error is not None:
+            # The task raised (a body error in the program, say): commit
+            # nothing, stop every worker without waiting for its slice, and
+            # hand the error to the caller once.
+            self.shutdown(kill=True)
+            exc, worker_traceback = error
+            raise exc from WorkerTraceback(worker_traceback)
         # Commit point: everything about the task becomes visible at once.
         bucket = worker_stats.get(pid)
         worker_stats[pid] = stats if bucket is None else bucket.merge(stats)
         for wire in outputs_wire:
             emit(history_from_wire(wire))
         pending.extend(returned)
-        worker.inflight = None
-        return task_timed_out
+        return stats.timed_out
 
     def _recover(self, worker: _Worker, pending: Deque[Tuple]) -> None:
         """A worker died: re-queue its seed and replace it within budget.
@@ -413,14 +428,3 @@ class PersistentPool:
         if self.respawns < self.max_respawns:
             self.respawns += 1
             self._alive.append(self._spawn(None))
-
-    def _drain_serially(
-        self,
-        pending: Deque[Tuple],
-        deadline: Optional[float],
-        emit: Callable[[History], None],
-        stats: ExplorationStats,
-    ) -> None:
-        items = decode_items(list(pending))
-        pending.clear()
-        self.engine.drain(items, stats, emit, deadline=deadline, poll_every=1)

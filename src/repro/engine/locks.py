@@ -23,7 +23,7 @@ release early or skip acquisition entirely (see
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 #: A transaction is identified engine-side by ``(session, index)`` — the
 #: same pair the trace format uses, so commit-log entries adapt directly.
@@ -80,10 +80,6 @@ class LockManager:
     def holders(self, key: str) -> Dict[TxnKey, str]:
         """Current holders of ``key`` (txn → mode)."""
         return dict(self._holders.get(key, {}))
-
-    def held_by(self, txn: TxnKey) -> List[str]:
-        """Keys currently locked (in any mode) by ``txn``."""
-        return [key for key, holders in self._holders.items() if txn in holders]
 
     # -- acquisition ----------------------------------------------------------
 

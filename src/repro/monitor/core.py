@@ -31,10 +31,10 @@ Two retention modes:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Optional, Set, Tuple
 
-from ..checking.online import Frontier, OnlineChecker, OnlineStep
+from ..checking.online import OnlineChecker, OnlineStep
 from ..core.events import TxnId
 from ..isolation.base import get_level
 from ..isolation.liveness import evictable_transactions
@@ -234,9 +234,6 @@ class Monitor:
         """Whether the level holds on the stream so far: the checker's
         current verdict, which a writer's abort can flip back to ``True``."""
         return self.checker.verdicts[self.config.isolation]
-
-    def frontier(self) -> Frontier:
-        return self.checker.frontier()
 
     def stats(self) -> MonitorStats:
         return MonitorStats(

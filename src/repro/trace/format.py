@@ -267,29 +267,15 @@ class Trace:
 
     @classmethod
     def loads(cls, text: str) -> "Trace":
-        """Parse JSONL text produced by :meth:`dumps` (or any recorder)."""
-        header: Optional[TraceHeader] = None
-        events: List[TraceEvent] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise TraceFormatError(f"line {lineno}: invalid JSON: {err}") from None
-            if not isinstance(obj, dict):
-                raise TraceFormatError(f"line {lineno}: expected a JSON object")
-            if header is None:
-                header = TraceHeader.from_json_obj(obj)
-                continue
-            try:
-                events.append(TraceEvent.from_json_obj(obj))
-            except TraceFormatError as err:
-                raise TraceFormatError(f"line {lineno}: {err}") from None
-        if header is None:
-            raise TraceFormatError("empty trace: no header line")
-        return cls(header, events)
+        """Parse JSONL text produced by :meth:`dumps` (or any recorder).
+
+        The whole text goes through the streaming reader of
+        :mod:`repro.trace.stream`, so both raise the same errors.
+        """
+        from .stream import stream_trace  # the stream module imports this one
+
+        header, events = stream_trace(text.splitlines())
+        return cls(header, list(events))
 
     def dump(self, path_or_file: Union[str, io.TextIOBase]) -> None:
         """Write the JSONL encoding to a path or an open text file."""

@@ -1,13 +1,12 @@
-"""Streaming trace input: incremental JSONL parsing for the monitor.
+"""Streaming trace input: the one JSONL line reader.
 
-:meth:`Trace.loads` parses a whole file at once — fine for recorded
-traces, unusable for a long-running monitor whose input never ends.  This
-module parses the same v1 JSONL format *incrementally* from any iterable
-of lines (an open file, ``sys.stdin``, a socket makefile): the header is
-decoded from the first non-empty line, then events are yielded one at a
-time with O(1) state.  Malformed lines raise
-:class:`~repro.trace.format.TraceFormatError` with the line number, same
-as the batch loader.
+A long-running monitor's input never ends, so this module parses the v1
+JSONL format *incrementally* from any iterable of lines (an open file,
+``sys.stdin``, a socket makefile): the header is decoded from the first
+non-empty line, then events are yielded one at a time with O(1) state.
+Malformed lines raise :class:`~repro.trace.format.TraceFormatError` with
+the line number.  :meth:`Trace.loads <repro.trace.format.Trace.loads>`
+runs the same reader over a whole text.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def stream_trace(lines: Iterable[str]) -> Tuple[TraceHeader, Iterator[TraceEvent
     The header line is consumed eagerly (so callers can size their checker
     before any event arrives); events are decoded lazily as the returned
     iterator is advanced, never buffering more than the current line.
-    Blank lines and ``#`` comments are skipped, as in :meth:`Trace.loads`.
+    Blank lines and ``#`` comments are skipped.
     Raises :class:`TraceFormatError` on a missing header or malformed line.
     """
     iterator = iter(enumerate(lines, start=1))

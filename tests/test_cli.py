@@ -341,6 +341,11 @@ class TestParser:
             ["record", "--app", "twitter", "--index", "-1"],
             ["record", "--app", "twitter", "--sessions", "0"],
             ["record", "--app", "twitter", "--txns", "0"],
+            ["monitor", "--stdin", "--window", "0"],
+            ["monitor", "--stdin", "--gc-every", "0"],
+            ["monitor", "--stdin", "--evict-batch", "0"],
+            ["monitor", "--stdin", "--stats-every", "-1"],
+            ["monitor", "--port", "-1"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -350,6 +355,12 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert f"{argv[-2]}: must be >= " in capsys.readouterr().err
+
+    def test_port_above_range_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "--port", "70000"])
+        assert exc.value.code == 2
+        assert "--port: must be <= 65535, got 70000" in capsys.readouterr().err
 
     def test_count_must_be_an_integer(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,13 @@
 """Serial/parallel equivalence of the exploration, and the wire encoding.
 
-The parallel driver decomposes the explore-ce recursion into disjoint
-subtrees, so a parallel run must produce the *identical* set of canonical
-output histories and identical additive counter totals as the sequential
-driver — for any program, level and worker count.  These property tests
-pin that down on the paper's example programs, seeded random programs, and
-the application workloads, for both explore-ce and explore-ce*.
+At several workers, ``SwappingExplorer`` decomposes the explore-ce
+recursion into disjoint subtrees, so a pool run must produce the
+*identical* set of canonical output histories and identical additive
+counter totals as the in-process run — for any program, level and worker
+count.  These property tests pin that down on the paper's example
+programs, seeded random programs, and the application workloads, for both
+explore-ce and explore-ce*.  A task that raises must hand its error to the
+caller once, without looking like a worker crash.
 """
 
 import pickle
@@ -14,8 +16,6 @@ import random
 import pytest
 
 from repro.core.bitrel import RelationMatrix
-from repro.core.history import History
-from repro.core.ordered_history import OrderedHistory
 from repro.core.wire import (
     decode_items,
     history_from_wire,
@@ -23,11 +23,14 @@ from repro.core.wire import (
     ordered_history_from_wire,
     ordered_history_to_wire,
 )
-from repro.dpor import ParallelExplorer, StepEngine, SwappingExplorer, resolve_workers
+from repro.dpor import StepEngine, SwappingExplorer, explore_ce, resolve_workers
 from repro.dpor import parallel as parallel_module
 from repro.dpor import pool as pool_module
 from repro.dpor.stats import ExplorationStats
 from repro.isolation import get_level
+from repro.lang.ast import read, write
+from repro.lang.expr import L, concat
+from repro.lang.program import Program, Transaction
 
 from tests.helpers import PAPER_PROGRAMS, figd1_program, random_history, random_program
 
@@ -52,7 +55,7 @@ def run_serial(program, level, valid=None):
 
 
 def run_parallel(program, level, valid=None, workers=2, **kwargs):
-    return ParallelExplorer(
+    return SwappingExplorer(
         program,
         get_level(level),
         valid_level=get_level(valid) if valid else None,
@@ -102,7 +105,7 @@ class TestSerialParallelEquivalence:
 
         program = client_program("courseware", 3, 2, 3)
         serial = run_serial(program, "CC", "SER")
-        explorer = ParallelExplorer(
+        explorer = SwappingExplorer(
             program, get_level("CC"), valid_level=get_level("SER"), workers=2
         )
         parallel = explorer.run()
@@ -128,7 +131,7 @@ class TestSerialParallelEquivalence:
         monkeypatch.setattr(pool_module, "TASK_TICKS", 1)
         program = figd1_program()
         serial = run_serial(program, "CC")
-        explorer = ParallelExplorer(program, get_level("CC"), workers=2)
+        explorer = SwappingExplorer(program, get_level("CC"), workers=2)
         parallel = explorer.run()
         assert_equivalent(serial, parallel, "figD1/tiny-budgets")
         assert [pid for pid in parallel.worker_stats if pid != 0]
@@ -140,7 +143,7 @@ class TestSerialParallelEquivalence:
         # pool entirely: only the coordinator (key 0) contributes stats.
         program = PAPER_PROGRAMS[1]()  # fig10, the smallest tree
         serial = run_serial(program, "CC")
-        explorer = ParallelExplorer(program, get_level("CC"), workers=2)
+        explorer = SwappingExplorer(program, get_level("CC"), workers=2)
         parallel = explorer.run()
         assert_equivalent(serial, parallel, "fig10/probe")
         assert list(parallel.worker_stats) == [0]
@@ -150,10 +153,22 @@ class TestSerialParallelEquivalence:
         monkeypatch.setattr(parallel_module, "MIN_FORK_STEPS", 0)
         program = figd1_program()
         serial = run_serial(program, "CC")
-        explorer = ParallelExplorer(program, get_level("CC"), workers=2)
+        explorer = SwappingExplorer(program, get_level("CC"), workers=2)
         parallel = explorer.run()
         assert_equivalent(serial, parallel, "figD1/eager")
         assert [pid for pid in parallel.worker_stats if pid != 0]
+
+    def test_workers_zero_on_one_cpu_drains_in_process(self, monkeypatch):
+        # One worker per CPU on a one-CPU host is the in-process drain:
+        # no pool, no seed phase, no per-participant stats.
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        program = figd1_program()
+        serial = explore_ce(program, "CC", workers=1)
+        result = explore_ce(program, "CC", workers=0)
+        assert result.worker_stats is None
+        assert_equivalent(serial, result, "figD1/workers=0 on one CPU")
 
     def test_workers_zero_means_cpu_count(self):
         import os
@@ -174,7 +189,7 @@ class TestTimeoutPropagation:
         # deadline fires inside the pool rather than after the whole tree.
         program = client_program("courseware", 3, 4, 3)
         start = time.monotonic()
-        explorer = ParallelExplorer(
+        explorer = SwappingExplorer(
             program, get_level("CC"), valid_level=get_level("SER"), workers=2, timeout=0.2
         )
         result = explorer.run()
@@ -321,7 +336,7 @@ class TestPoolResilience:
         monkeypatch.setattr(pool_module, "TASK_BUDGET", 0.005)
         program = self._courseware()
         serial = run_serial(program, "CC", "SER")
-        explorer = ParallelExplorer(
+        explorer = SwappingExplorer(
             program,
             get_level("CC"),
             valid_level=get_level("SER"),
@@ -388,7 +403,7 @@ class TestPoolResilience:
         monkeypatch.setattr(pool_module, "encode_frame", recording_encode)
         program = self._courseware()
         serial = run_serial(program, "CC", "SER")
-        explorer = ParallelExplorer(
+        explorer = SwappingExplorer(
             program, get_level("CC"), valid_level=get_level("SER"), workers=2
         )
         parallel = explorer.run()
@@ -413,7 +428,7 @@ class TestPoolResilience:
         monkeypatch.setattr(pool_module, "TASK_TICKS", 1)
         program = figd1_program()  # module-level transactions: spawn-picklable
         serial = run_serial(program, "CC")
-        explorer = ParallelExplorer(program, get_level("CC"), workers=2)
+        explorer = SwappingExplorer(program, get_level("CC"), workers=2)
         parallel = explorer.run()
         assert_equivalent(serial, parallel, "figD1/spawn")
         assert explorer.pool.start_method == "spawn"
@@ -421,6 +436,39 @@ class TestPoolResilience:
             stats.explore_calls for pid, stats in parallel.worker_stats.items() if pid != 0
         )
         assert 0 < worker_calls <= explorer.pool.tasks_dispatched
+
+
+def body_error_program():
+    """Three sessions of three ``a := read(k0); write(k0, a + 1)``
+    transactions; the last one also writes the computed name ``k<a>``,
+    which only ``a == 0`` keeps inside the declared universe."""
+    sessions = {}
+    for s in range(3):
+        txns = []
+        for i in range(3):
+            body = [read("a", "k0"), write("k0", L("a") + 1)]
+            if (s, i) == (2, 2):
+                body.append(write(concat("k", L("a")), 1))
+            txns.append(Transaction(f"t{s}{i}", tuple(body)))
+        sessions[f"s{s}"] = txns
+    return Program(sessions, name="body-error")
+
+
+class TestTaskErrors:
+    def test_body_error_in_a_worker_reaches_the_caller_once(self, monkeypatch, capfd):
+        # The seed phase stops after one step, so the body error is raised
+        # inside a worker.  It must come back as the same ValueError, with
+        # no worker crash, respawn or traceback on the way.
+        monkeypatch.setattr(parallel_module, "MIN_FORK_STEPS", 0)
+        monkeypatch.setattr(parallel_module, "SEED_FACTOR", 1)
+        explorer = SwappingExplorer(body_error_program(), get_level("CC"), workers=2)
+        with pytest.raises(ValueError, match=r"variable 'k[1-9]'.*extra_variables") as info:
+            explorer.run()
+        assert "_pending_action" in str(info.value.__cause__), "worker traceback lost"
+        assert explorer.pool.tasks_dispatched > 0
+        assert explorer.pool.crashes == 0
+        assert explorer.pool.respawns == 0
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestPoolUnavailable:
@@ -439,7 +487,7 @@ class TestPoolUnavailable:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         program = client_program("courseware", 3, 2, 3)
         with pytest.raises(PoolUnavailableError, match="workers=1"):
-            ParallelExplorer(program, get_level("CC"), workers=2)
+            SwappingExplorer(program, get_level("CC"), workers=2)
 
     def test_no_start_method_at_all_raises(self, monkeypatch):
         import multiprocessing
@@ -448,7 +496,7 @@ class TestPoolUnavailable:
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [])
         with pytest.raises(PoolUnavailableError, match="workers=1"):
-            ParallelExplorer(figd1_program(), get_level("CC"), workers=2)
+            SwappingExplorer(figd1_program(), get_level("CC"), workers=2)
 
     def test_model_checker_surfaces_pool_error(self, monkeypatch):
         import multiprocessing
