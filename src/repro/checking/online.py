@@ -26,13 +26,38 @@ What is incremental
   they can use; they are monotone in the grow-only prefix), and the
   verdict is the maintained closure's O(1) acyclicity flag;
 * the search levels — SI, SER, PSI, PC, BS-3 — re-run their memoized
-  searches per event (their axioms mention the commit order, so no
-  saturation state carries over) but on the maintained matrix (passed via
-  ``History.adopt_causal_matrix``) rather than a rebuilt one.
+  searches (their axioms mention the commit order, so no saturation state
+  carries over), but only on an event that can change the verdict, and on
+  state the checker maintains rather than rebuilds: the matrix
+  (``History.adopt_causal_matrix``) and the searches' per-transaction
+  summaries (:class:`~repro.isolation.summaries.LiveSummaries`, seeded via
+  ``History.adopt_summaries``: a ``begin`` appends a row, an external read
+  its ``(variable, source)``, a first write its variable, a writer's abort
+  clears the writes and keeps the reads, and :meth:`OnlineChecker.evict`
+  compacts the rows as the matrix does).  Without a search level nothing
+  of this is kept.
 
 Which camp a level falls in is read off its
 :class:`~repro.isolation.registry.LevelSpec`, so spec-registered
 extensions stream without touching this module.
+
+When a search level keeps its verdict
+-------------------------------------
+
+A level's check decides from the transactions, ``so ∪ wr``, the external
+reads with their sources and the visible write sets (the contract on
+:class:`~repro.isolation.registry.LevelSpec`).  No verdict code reads
+commit status — a pending transaction's writes count, only an abort hides
+them — so these events are verdict-inert and decide by the previous
+verdict, with no history materialised: a ``begin`` (its transaction has
+no reads, no writes and no outgoing edge, so it can go last in any commit
+order), a ``commit``, a local read, a write to a variable the transaction
+already wrote, and the abort of a transaction that wrote nothing.  Every
+level holds before the first event.  And while a prefix-closed level is
+violated, every event except a writer's abort keeps it violated: the old
+history is a prefix of the new one.  So a search runs only on an external
+read, a first write or a writer's abort, and on a violated prefix-closed
+level only on a writer's abort.
 
 The abort exception
 -------------------
@@ -57,6 +82,7 @@ from ..core.history import History
 from ..isolation.base import IsolationLevel, get_level
 from ..isolation.registry import LevelSpec, level_spec
 from ..isolation.saturation import IncrementalSaturation
+from ..isolation.summaries import LiveSummaries
 from ..trace.format import Trace, TraceEvent, TraceHeader, TraceReplayer
 
 #: The levels an OnlineChecker decides by default, weakest first (the
@@ -221,7 +247,15 @@ class OnlineChecker:
                 self._saturation[name] = IncrementalSaturation(spec.axioms)
             else:
                 search.append(name)
-        self._search_levels: Tuple[str, ...] = tuple(search)
+        #: Search levels whose violation no appending event can undo.
+        self._prefix_closed: Set[str] = {
+            name for name in search if level_spec(name).prefix_closed
+        }
+        #: The searches' per-transaction summaries, on ``_causal``'s rows;
+        #: kept only when some level searches.
+        self._summaries: Optional[LiveSummaries] = (
+            LiveSummaries(header.variables) if search else None
+        )
         #: var → (read event, source tid) for every external read so far.
         self._reads_of_var: Dict[str, List[Tuple[Event, TxnId]]] = {}
         #: var → transactions with a visible (non-aborted) write, in order.
@@ -258,9 +292,15 @@ class OnlineChecker:
         added = self._replayer.apply(event)
         tid = event.tid
         states = self._saturation.values()
+        summaries = self._summaries
         # Premises are decided against the O(1) facts view, so the prefix
         # history is materialised only for the search levels.
         facts = self._facts
+        # Whether the event can change a search level's verdict, and
+        # whether it retracts writes (the one step that can undo a
+        # violation); see the module docstring.
+        inert = True
+        retracts = False
         if event.op == "begin":
             order = self._replayer.session_order(tid.session)
             prev = order[-2] if len(order) > 1 else INIT_TXN
@@ -268,7 +308,10 @@ class OnlineChecker:
             self._causal.add_edge(prev, tid)
             for state in states:
                 state.begin(tid, prev)
+            if summaries is not None:
+                summaries.begin()
         elif event.op == "read" and not event.local:
+            inert = False
             source = self._replayer.wr_source(added.eid)
             if source != tid:
                 self._causal.add_edge(source, tid)
@@ -278,14 +321,22 @@ class OnlineChecker:
             writers = self._writers_of_var.get(event.var, ())
             for state in states:
                 state.external_read(facts, added, source, writers, prior)
+            if summaries is not None:
+                index = self._causal.index_of
+                summaries.external_read(index(tid), event.var, index(source))
         elif event.op == "write":
             writers = self._writers_of_var.setdefault(event.var, [])
             if tid not in writers:
+                inert = False
                 writers.append(tid)
                 reads = self._reads_of_var.get(event.var, ())
                 for state in states:
                     state.first_write(facts, tid, reads)
+                if summaries is not None:
+                    summaries.first_write(self._causal.index_of(tid), event.var)
         elif event.op == "abort" and self._replayer.wrote_any(tid):
+            inert = False
+            retracts = True
             # The aborted writer's writes become invisible (§2.2.1): it
             # leaves every writers-of bucket and every saturation state.
             for writers in self._writers_of_var.values():
@@ -293,6 +344,8 @@ class OnlineChecker:
                     writers.remove(tid)
             for state in states:
                 state.abort_writer(facts, tid)
+            if summaries is not None:
+                summaries.abort_writer(self._causal.index_of(tid))
         self._history = None
         previous = self._verdicts
         verdicts: Dict[str, bool] = {}
@@ -302,10 +355,15 @@ class OnlineChecker:
                 verdicts[name] = base_acyclic and self._saturation[name].consistent
             elif not base_acyclic:
                 verdicts[name] = False
+            elif inert:
+                verdicts[name] = previous.get(name, True)
+            elif not (retracts or previous.get(name, True)) and name in self._prefix_closed:
+                # The old history is a prefix of the new one: still violated.
+                verdicts[name] = False
             else:
                 # Search levels (SI/SER/PSI/PC/BS-3 and any spec-registered
                 # extension): batch check on the prefix history, running on
-                # the maintained matrix via adopt_causal_matrix.
+                # the maintained matrix and summaries it adopts.
                 verdicts[name] = get_level(name).satisfies(self.history())
         newly = tuple(
             name for name in self.levels if not verdicts[name] and previous.get(name, True)
@@ -408,6 +466,10 @@ class OnlineChecker:
             if order and order[-1] == tid:
                 raise ValueError(f"cannot evict session-latest transaction {tid!r}")
         self._replayer.forget(drop)
+        if self._summaries is not None:
+            self._summaries.evict(
+                [i for i, tid in enumerate(self._causal.nodes) if tid not in drop]
+            )
         self._causal = self._causal.remove_nodes(drop)
         for state in self._saturation.values():
             state.evict(drop)
@@ -475,11 +537,16 @@ class OnlineChecker:
 
         Materialised lazily per fed event; the returned history's
         ``causal_matrix()`` is a frozen copy of the maintained matrix, so
-        downstream consistency checks never rebuild the relation.
+        downstream consistency checks never rebuild the relation.  With a
+        search level it also carries a snapshot of the maintained search
+        summaries, so the searches do not rebuild those either.
         """
         if self._history is None:
             history = self._replayer.history()
-            history.adopt_causal_matrix(self._causal.copy())
+            matrix = self._causal.copy()
+            history.adopt_causal_matrix(matrix)
+            if self._summaries is not None:
+                history.adopt_summaries(self._summaries.snapshot(matrix))
             self._history = history
         return self._history
 

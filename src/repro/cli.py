@@ -43,7 +43,9 @@ Commands
     stdin or one TCP connection, decide a single isolation level
     continuously with garbage-collected checker state
     (:mod:`repro.monitor`), print periodic stats lines, and exit 1 when
-    the stream violated the level.
+    the stream violated the level.  With ``--port`` it first prints
+    ``[monitor] listening on 127.0.0.1:PORT`` to stderr; ``--port 0``
+    binds a free port.
 
 ``difftest``
     Run workloads on the in-process threaded MVCC engine
@@ -297,7 +299,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if args.stdin:
             report = monitor_stream(sys.stdin, config, stats_every=args.stats_every)
         else:
-            report = serve(args.port, config, stats_every=args.stats_every)
+            report = serve(
+                args.port, config, stats_every=args.stats_every, ready=_announce_port
+            )
     except MonitorStaleReadError as err:
         raise SystemExit(f"error: {err}")
     except TraceFormatError as err:
@@ -316,6 +320,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             f"({_describe_trace_event(step.event)})"
         )
     return report.exit_code
+
+
+def _announce_port(port: int) -> None:
+    """Say where ``repro monitor --port`` listens (``--port 0`` picks one)."""
+    print(f"[monitor] listening on 127.0.0.1:{port}", file=sys.stderr, flush=True)
 
 
 def _describe_trace_event(event) -> str:
@@ -503,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="any registered level — see 'repro levels' (default RC)",
     )
     monitor.add_argument("--stdin", action="store_true", help="read JSONL trace events from stdin")
-    monitor.add_argument("--port", type=_int_at_least(0, 65535), default=None, help="listen on TCP PORT for one connection instead")
+    monitor.add_argument("--port", type=_int_at_least(0, 65535), default=None, help="listen on TCP PORT (0 = a free one, printed on stderr) for one connection instead")
     monitor.add_argument("--stats-every", type=_int_at_least(0), default=0, help="print a stats line every N events (0 = never)")
     monitor.add_argument("--window", type=_int_at_least(1), default=64, help="retention / freshness window (default 64)")
     monitor.add_argument("--gc-every", type=_int_at_least(1), default=128, help="events between collections (default 128)")

@@ -491,6 +491,25 @@ class History:
         if matrix.nodes != tuple(self.txns):
             raise ValueError("adopted matrix does not match this history's transactions")
         self._cache["causal_matrix"] = matrix.freeze()
+        # Seeded summaries index the previous matrix's rows.
+        self._cache.pop("summaries", None)
+
+    def adopt_summaries(self, summaries: object) -> None:
+        """Seed the commit-order searches' per-transaction summaries.
+
+        Used by the online checker, which keeps
+        :class:`~repro.isolation.summaries.DenseSummaries` up to date per
+        event on the dense indexing of the matrix it seeds with
+        :meth:`adopt_causal_matrix` — adopt that matrix first.  Adopting
+        another matrix afterwards drops the summaries.
+        """
+        if "causal_matrix" not in self._cache:
+            raise ValueError("adopt the causal matrix the summaries index first")
+        self._cache["summaries"] = summaries
+
+    def adopted_summaries(self) -> Optional[object]:
+        """The summaries seeded by :meth:`adopt_summaries`, if any."""
+        return self._cache.get("summaries")
 
     def causally_before(self, a: TxnId, b: TxnId) -> bool:
         """``(a, b) ∈ (so ∪ wr)+``."""

@@ -377,6 +377,7 @@ class SwappingExplorer:
             from .pool import available_start_method
 
             available_start_method(self.engine)
+        #: The most recent :meth:`run`'s counters and output histories.
         self.stats = ExplorationStats()
         self.histories: Optional[HistorySet] = HistorySet() if collect_histories else None
         #: The pool of the most recent multi-worker :meth:`run` (telemetry:
@@ -392,9 +393,16 @@ class SwappingExplorer:
     # -- driver -------------------------------------------------------------
 
     def run(self) -> ExplorationResult:
-        """Execute the exploration to completion (or timeout)."""
+        """Execute the exploration to completion (or timeout).
+
+        Every run starts from fresh stats and a fresh history set, so
+        running twice reports the same twice at any worker count and leaves
+        the first result as it was.
+        """
         start = time.monotonic()
         deadline = start + self.timeout if self.timeout else None
+        self.stats = ExplorationStats()
+        self.histories = HistorySet() if self.collect_histories else None
         worker_stats = None
         if self.workers == 1:
             self.engine.drain(

@@ -42,7 +42,19 @@ EVICTION_RULES = ("fresh", "writers", "inert")
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """Everything the toolchain needs to know about one isolation level."""
+    """Everything the toolchain needs to know about one isolation level.
+
+    The contract ``check`` keeps, which the online checker's skip rules
+    rest on: it decides from the transactions, ``so ∪ wr``, the external
+    reads with their sources and the visible write sets (the writes of
+    every transaction that has not aborted), and from nothing else — not
+    commit status, local reads or a repeated write to a variable.  Adding
+    a transaction with no reads, no writes and no outgoing edge (what a
+    ``begin`` appends) never changes the verdict: it can go last in any
+    commit order.  ``prefix_closed`` also licenses the checker to keep a
+    violated verdict without searching until a writer aborts, the one
+    step after which the old history is not a prefix of the new one.
+    """
 
     #: Canonical short name (registry key), e.g. ``"PSI"``.
     name: str
@@ -58,7 +70,9 @@ class LevelSpec:
     #: Extra whole-order constraint (bounded staleness); None for levels
     #: fully captured by the implication schema.
     order_predicate: Optional[OrderPredicate] = None
-    #: Def. 3.1 — every prefix of a consistent history is consistent.
+    #: Def. 3.1 — every prefix of a consistent history is consistent.  The
+    #: online checker then keeps a violated search level violated until a
+    #: writer aborts.
     prefix_closed: bool = True
     #: Def. 3.3 — None derives it: co-free axioms without an order
     #: predicate are causally extensible (Thm. 3.4 generalizes: each

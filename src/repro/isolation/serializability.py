@@ -15,7 +15,10 @@ is also why the paper's `explore-ce*(·, SER)` filter stays cheap on
 histories with few sessions (§7.3).
 
 Aborted and pending transactions take part in the order (the commit order of
-Def. 2.2 is total on *all* transaction logs) but expose no writes.
+Def. 2.2 is total on *all* transaction logs).  Only an aborted transaction
+hides its writes (§2.2.1); a pending one exposes them like a committed one,
+so committing changes no verdict — the online checker relies on that to
+skip the search on a commit.
 
 The search runs on the dense indexing of the history's cached
 :class:`~repro.core.bitrel.RelationMatrix`: the committed set is one int

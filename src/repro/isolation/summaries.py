@@ -1,15 +1,23 @@
-"""Shared dense per-transaction summaries for the SER and SI searches.
+"""Shared dense per-transaction summaries for the commit-order searches.
 
-Both frontier-memoized checkers run on the dense indexing of the history's
-cached :class:`~repro.core.bitrel.RelationMatrix` and need the same
-pre-computation: ancestor bitmasks for enabledness, per-transaction read
-lists (variable index, wr-source index), write lists, and write-footprint
-bitmasks.  Extracted here so the two checkers cannot drift apart.
+The SER, SI/PC and PSI/BS-k checkers run on the dense indexing of the
+history's cached :class:`~repro.core.bitrel.RelationMatrix` and need the
+same pre-computation: ancestor bitmasks for enabledness, per-transaction
+read lists (variable index, wr-source index), write lists, and
+write-footprint bitmasks.  Extracted here so the checkers cannot drift
+apart.
+
+Variables are numbered in sorted-name order.  :func:`dense_summaries`
+builds the summaries from a whole history; :class:`LiveSummaries` keeps
+the same summaries up to date one trace event at a time for the online
+checker, which seeds them onto the histories it materialises
+(``History.adopt_summaries``) so that a search does not rebuild them from
+the whole prefix.  Both live here so the layout is decided in one place.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Set, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from ..core.bitrel import RelationMatrix
 from ..core.history import History
@@ -31,6 +39,14 @@ class DenseSummaries(NamedTuple):
 
 
 def dense_summaries(history: History, matrix: RelationMatrix) -> DenseSummaries:
+    """The summaries of ``history`` on ``matrix``'s indexing.
+
+    Returns the summaries seeded with ``History.adopt_summaries`` when the
+    history carries them; otherwise builds them from every log.
+    """
+    seeded = history.adopted_summaries()
+    if seeded is not None:
+        return seeded  # type: ignore[return-value]
     n = len(matrix)
     variables: Set[str] = set()
     raw_reads: List[List[Tuple[str, int]]] = [[] for _ in range(n)]
@@ -54,3 +70,77 @@ def dense_summaries(history: History, matrix: RelationMatrix) -> DenseSummaries:
         write_mask=write_mask,
         num_vars=len(var_index),
     )
+
+
+class LiveSummaries:
+    """:class:`DenseSummaries` kept up to date per streamed event.
+
+    Rows follow the dense indexing of the online checker's maintained
+    causal matrix, which starts with ``init`` alone and gains one node per
+    ``begin``.  ``init`` writes every variable of the trace header, and
+    every other read or write names a header variable, so numbering the
+    header's variables in sorted order is exactly the numbering
+    :func:`dense_summaries` picks.  Only the ancestor masks are not kept
+    here: :meth:`snapshot` reads them off the matrix it is given.
+    """
+
+    __slots__ = ("_var_index", "_reads", "_writes", "_masks")
+
+    def __init__(self, variables: Iterable[str]):
+        names = sorted(set(variables))
+        self._var_index = {var: v for v, var in enumerate(names)}
+        # Row 0 is init: no reads, a write to every variable.
+        self._reads: List[Tuple[Tuple[int, int], ...]] = [()]
+        self._writes: List[Tuple[int, ...]] = [tuple(range(len(names)))]
+        self._masks: List[int] = [(1 << len(names)) - 1]
+
+    def begin(self) -> None:
+        """Append the row of a just-begun transaction."""
+        self._reads.append(())
+        self._writes.append(())
+        self._masks.append(0)
+
+    def external_read(self, reader: int, var: str, source: int) -> None:
+        """Record an external read of ``var`` by row ``reader`` from row ``source``."""
+        self._reads[reader] += ((self._var_index[var], source),)
+
+    def first_write(self, writer: int, var: str) -> None:
+        """Record row ``writer``'s first write of ``var``."""
+        v = self._var_index[var]
+        self._writes[writer] = tuple(sorted(self._writes[writer] + (v,)))
+        self._masks[writer] |= 1 << v
+
+    def abort_writer(self, writer: int) -> None:
+        """An aborted transaction hides its writes and keeps its reads."""
+        self._writes[writer] = ()
+        self._masks[writer] = 0
+
+    def evict(self, keep: Sequence[int]) -> None:
+        """Compact to the surviving rows ``keep`` (old indices, ascending).
+
+        That is the order :meth:`RelationMatrix.remove_nodes` keeps, so the
+        rows stay aligned with the compacted matrix.  A read whose source
+        left is dropped, as the trace replayer drops its ``wr`` entry.
+        """
+        new_index = {old: new for new, old in enumerate(keep)}
+        self._reads = [
+            tuple((var, new_index[src]) for var, src in self._reads[old] if src in new_index)
+            for old in keep
+        ]
+        self._writes = [self._writes[old] for old in keep]
+        self._masks = [self._masks[old] for old in keep]
+
+    def snapshot(self, matrix: RelationMatrix) -> DenseSummaries:
+        """The current summaries, with ``matrix``'s ancestor masks.
+
+        ``matrix`` must be over the same rows (the checker passes a copy of
+        its maintained matrix).  The lists are copies, so later events do
+        not change a snapshot already seeded onto a history.
+        """
+        return DenseSummaries(
+            ancestors=list(matrix.closure_rows()[2]),
+            reads_of=list(self._reads),
+            writes_of=list(self._writes),
+            write_mask=list(self._masks),
+            num_vars=len(self._var_index),
+        )

@@ -416,38 +416,46 @@ class TestMonitor:
         assert "VIOLATION" in out
         assert "first violated at event #" in out
 
-    def test_gadget_over_socket_port(self, capsys):
-        """--port serves one connection's stream and propagates the verdict."""
+    def test_gadget_over_socket_port(self, monkeypatch, capsys):
+        """--port 0 says on stderr which port it bound, serves one
+        connection's stream and propagates the verdict."""
+        import queue
+        import re
         import socket
+        import sys as _sys
         import threading
+        import time
 
         from repro.trace import gadget_traces
 
         payload = gadget_traces()["ser_violation"].dumps()
+        written = queue.Queue()
+
+        class _Stderr:
+            def write(self, text):
+                written.put(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(_sys, "stderr", _Stderr())
         box = {}
 
-        # Bind-then-connect without a race: grab a free port first.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
+        def _run():
+            box["code"] = main(["monitor", "--port", "0", "--isolation", "SER"])
 
-        def _run_fixed():
-            box["code"] = main(["monitor", "--port", str(port), "--isolation", "SER"])
-
-        server = threading.Thread(target=_run_fixed, daemon=True)
+        server = threading.Thread(target=_run, daemon=True)
         server.start()
-        for _ in range(100):
+        deadline = time.monotonic() + 10
+        listening = None
+        while listening is None:
             try:
-                conn = socket.create_connection(("127.0.0.1", port), timeout=5)
-                break
-            except OSError:
-                import time
-
-                time.sleep(0.05)
-        else:
-            pytest.fail("monitor --port never started listening")
-        with conn:
+                text = written.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                pytest.fail("monitor --port 0 never said where it listens")
+            listening = re.fullmatch(r"\[monitor\] listening on 127\.0\.0\.1:(\d+)", text)
+        port = int(listening.group(1))
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
             conn.sendall(payload.encode("utf-8"))
         server.join(timeout=10)
         assert not server.is_alive()

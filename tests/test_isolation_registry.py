@@ -126,10 +126,23 @@ class TestNewCheckersAgainstReference:
             assert fast == ref, f"seed {seed} at {level}: fast={fast} reference={ref}"
 
 
+#: Gadget traces, plus fuzzed traces with aborts, local reads and repeat
+#: writes, which the gadgets never contain.
+PIPELINE_TRACES = {
+    **gadget_traces(),
+    **{
+        f"fuzz{seed}": Trace.from_history(
+            fuzz_history(seed, abort_rate=0.25), name=f"fuzz{seed}"
+        )
+        for seed in range(12)
+    },
+}
+
+
 class TestOnlinePipeline:
-    @pytest.mark.parametrize("name", sorted(gadget_traces()))
+    @pytest.mark.parametrize("name", sorted(PIPELINE_TRACES))
     def test_online_equals_batch_on_all_levels(self, name):
-        trace = gadget_traces()[name]
+        trace = PIPELINE_TRACES[name]
         checker = OnlineChecker.from_trace(trace, levels=ALL_LEVELS)
         for index, event in enumerate(trace.events):
             step = checker.feed(event)

@@ -9,18 +9,27 @@ the acceptance property of the trace subsystem.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import PAPER_PROGRAMS
 from repro.apps.workloads import record_workload_trace
 from repro.checking.online import DEFAULT_LEVELS, OnlineChecker, OnlineStep, check_trace
-from repro.core import HistoryBuilder, RelationMatrix
+from repro.core import HistoryBuilder, RelationMatrix, TxnId
 from repro.dpor import explore_ce
+from repro.engine.harness import run_program, workload_program
+from repro.engine.mvcc import get_engine_config
 from repro.isolation import IncrementalSaturation, get_level
+from repro.isolation.registry import _SpecLevel
+from repro.isolation.summaries import dense_summaries
+from repro.monitor import Monitor, MonitorConfig
 from repro.trace import Trace, TraceEvent, TraceFormatError, fuzz_history, gadget_traces
 
 LEVELS = DEFAULT_LEVELS
+
+#: The levels the online checker decides by search rather than saturation.
+SEARCH_LEVELS = ("BS-3", "PSI", "PC", "SI", "SER")
 
 
 def batch_verdicts(trace, length):
@@ -254,6 +263,217 @@ class TestRecheckRule:
                 pending = [state.pending_instances for state in checker.saturation_states()]
                 inert_while_pending += sum(1 for count in pending if count) >= 2
         assert inert_while_pending >= 5
+
+
+def event_kind(event, wrote):
+    """Classify ``event`` for the skip rules; ``wrote`` maps each
+    transaction to the variables it wrote so far, updated here."""
+    if event.op == "read":
+        return "local read" if event.local else "external read"
+    if event.op == "write":
+        written = wrote.setdefault(event.tid, set())
+        first = event.var not in written
+        written.add(event.var)
+        return "first write" if first else "repeat write"
+    if event.op == "abort":
+        return "writer abort" if wrote.get(event.tid) else "write-free abort"
+    return event.op
+
+
+INERT_KINDS = {"begin", "commit", "local read", "repeat write", "write-free abort"}
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Counts ``satisfies`` calls per level name."""
+    calls = Counter()
+    satisfies = _SpecLevel.satisfies
+
+    def counting(level, history):
+        calls[level.name] += 1
+        return satisfies(level, history)
+
+    monkeypatch.setattr(_SpecLevel, "satisfies", counting)
+    return calls
+
+
+def feed_counting(checker, event, calls):
+    """Feed one event; returns the step and the searches it ran per level."""
+    before = Counter(calls)
+    step = checker.feed(event)
+    ran = Counter(calls)
+    ran.subtract(before)
+    return step, {name: ran[name] for name in SEARCH_LEVELS if name in checker.levels}
+
+
+class TestSkipRules:
+    """A search level searches only on events that can change its verdict:
+    an external read, a first write or a writer's abort — and, once the
+    level is violated, only a writer's abort."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_searches_per_event_kind(self, seed, search_calls):
+        trace = Trace.from_history(fuzz_history(seed, abort_rate=0.25), name=f"fuzz{seed}")
+        checker = OnlineChecker.from_trace(trace, levels=("RC",) + SEARCH_LEVELS)
+        wrote = {}
+        for index, event in enumerate(trace.events):
+            kind = event_kind(event, wrote)
+            previous = checker.verdicts
+            step, ran = feed_counting(checker, event, search_calls)
+            for name, count in ran.items():
+                skipped = kind in INERT_KINDS or (not previous[name] and kind != "writer abort")
+                assert count == (0 if skipped else 1), (index, kind, name, previous[name])
+            prefix = trace.prefix(index + 1).to_history(strict=False)
+            assert step.verdicts == {
+                name: get_level(name).satisfies(prefix) for name in checker.levels
+            }, (index, event)
+
+    def test_corpus_covers_every_kind(self):
+        seen = set()
+        for seed in range(12):
+            wrote = {}
+            for event in Trace.from_history(fuzz_history(seed, abort_rate=0.25)).events:
+                seen.add(event_kind(event, wrote))
+        assert seen == INERT_KINDS | {"external read", "first write", "writer abort"}
+
+    def test_violated_level_searches_only_on_writer_abort(self, search_calls):
+        """SI and SER are violated at event 21 and hold again at event 24,
+        when the writer that closed the cycle aborts."""
+        trace = run_program(
+            workload_program("hotkeys", 2, 5, 0),
+            get_engine_config("snapshot-isolation"),
+            seed=0,
+        ).trace
+        checker = OnlineChecker.from_trace(trace, levels=("SI", "SER"))
+        wrote = {}
+        for index, event in enumerate(trace.events):
+            kind = event_kind(event, wrote)
+            step, ran = feed_counting(checker, event, search_calls)
+            if 21 < index < 24:
+                assert kind in ("begin", "first write"), (index, kind)
+                assert ran == {"SI": 0, "SER": 0}, (index, kind)
+                assert step.verdicts == {"SI": False, "SER": False}
+            elif index == 24:
+                assert kind == "writer abort"
+                assert ran == {"SI": 1, "SER": 1}
+                assert step.verdicts == {"SI": True, "SER": True}
+        first = checker.first_violation("SER")
+        assert first is not None and first.index == 21
+
+
+def evicting_stream(seed, transactions=80, sessions=3, empty=0.4, aborts=0.15):
+    """A serial stream whose empty transactions search levels may evict.
+
+    Transactions run one at a time, reading the latest committed value, so
+    every level holds throughout and the monitor keeps collecting.
+    """
+    rng = random.Random(seed)
+    variables = ("x", "y")
+    latest = {var: (["__init__", 0], 0) for var in variables}
+    begun = [0] * sessions
+    records = []
+    for _ in range(transactions):
+        s = rng.randrange(sessions)
+        name, txn = f"s{s}", begun[s]
+        begun[s] += 1
+
+        def rec(op, **extra):
+            records.append({"type": op, "session": name, "txn": txn, **extra})
+
+        rec("begin")
+        wrote = {}
+        if rng.random() >= empty:
+            for _ in range(rng.randint(1, 4)):
+                var = rng.choice(variables)
+                if rng.random() < 0.5:
+                    if var in wrote:
+                        rec("read", var=var, value=wrote[var], local=True)
+                    else:
+                        source, value = latest[var]
+                        rec("read", var=var, value=value, **{"from": source})
+                else:
+                    wrote[var] = rng.randint(1, 9)
+                    rec("write", var=var, value=wrote[var])
+        if rng.random() < aborts:
+            rec("abort")
+        else:
+            rec("commit")
+            for var, value in wrote.items():
+                latest[var] = ([name, txn], value)
+    return Trace.from_records(records, variables=variables, name=f"evicting{seed}")
+
+
+def assert_summaries_maintained(checker):
+    """The summaries seeded on the checker's history equal the ones built
+    from scratch on a fresh history over a copy of the same matrix.  Both
+    number variables in sorted-name order, so equality is exact."""
+    seeded = checker.history().adopted_summaries()
+    fresh = checker.replayer.history()
+    matrix = checker.causal_matrix.copy()
+    fresh.adopt_causal_matrix(matrix)
+    assert fresh.adopted_summaries() is None
+    assert seeded == dense_summaries(fresh, matrix)
+
+
+class TestMaintainedSummaries:
+    """The per-event summaries equal the from-scratch build after every
+    event: aborts, local reads, repeat writes and eviction included."""
+
+    @pytest.mark.parametrize("level", SEARCH_LEVELS)
+    def test_fuzzed_traces_at_every_search_level(self, level):
+        for seed in range(10):
+            trace = Trace.from_history(fuzz_history(seed, abort_rate=0.25))
+            checker = OnlineChecker.from_trace(trace, levels=(level,))
+            for event in trace.events:
+                checker.feed(event)
+                assert_summaries_maintained(checker)
+
+    def test_mixed_levels(self):
+        for seed in range(10):
+            trace = Trace.from_history(fuzz_history(100 + seed, abort_rate=0.5))
+            checker = OnlineChecker.from_trace(trace, levels=("RC", "SER"))
+            for event in trace.events:
+                checker.feed(event)
+                assert_summaries_maintained(checker)
+
+    def test_saturation_levels_keep_no_summaries(self):
+        trace = Trace.from_history(fuzz_history(0, abort_rate=0.25))
+        checker = OnlineChecker.from_trace(trace, levels=("RC", "RA", "CC"))
+        checker.replay(trace)
+        assert checker.history().adopted_summaries() is None
+
+    @pytest.mark.parametrize("level", ("SER", "SI", "PSI", "BS-3"))
+    def test_evicting_stream(self, level):
+        trace = evicting_stream(0)
+        monitor = Monitor(
+            trace.header, MonitorConfig(isolation=level, window=1, gc_every=1, evict_batch=1)
+        )
+        for event in trace.events:
+            assert monitor.feed(event).verdicts[level]
+            assert_summaries_maintained(monitor.checker)
+        assert monitor.checker.evicted_count > 0
+
+    def test_evicting_a_source_drops_its_reads(self):
+        """Eviction drops the wr entries of reads whose source left, and the
+        summaries drop those reads with them."""
+        trace = Trace.from_records(
+            [
+                record("begin", "w"), record("write", "w", var="x", value=1),
+                record("commit", "w"),
+                record("begin", "r"), read_record("r", "x", "w"),
+                record("read", "r", var="y", value=0, **{"from": ["__init__", 0]}),
+                record("commit", "r"),
+                {"type": "begin", "session": "w", "txn": 1},
+            ],
+            variables=["x", "y"],
+            name="evict-source",
+        )
+        checker = OnlineChecker.from_trace(trace, levels=("SER",))
+        checker.replay(trace)
+        assert checker.evict([TxnId("w", 0)]) == 1
+        assert_summaries_maintained(checker)
+        reader = checker.causal_matrix.index_of(TxnId("r", 0))
+        assert len(checker.history().adopted_summaries().reads_of[reader]) == 1
 
 
 class TestApiSurface:

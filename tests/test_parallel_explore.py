@@ -158,6 +158,21 @@ class TestSerialParallelEquivalence:
         assert_equivalent(serial, parallel, "figD1/eager")
         assert [pid for pid in parallel.worker_stats if pid != 0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_second_run_reports_the_same(self, workers):
+        # Each run starts from fresh stats and a fresh history set: the
+        # second run neither adds to the first's counters nor re-adds its
+        # histories, and the first result keeps what it reported.
+        explorer = SwappingExplorer(figd1_program(), get_level("CC"), workers=workers)
+        first = explorer.run()
+        counters = {counter: getattr(first.stats, counter) for counter in ADDITIVE_COUNTERS}
+        keys = sorted(first.histories.keys())
+        second = explorer.run()
+        assert_equivalent(first, second, f"figD1/w{workers}/second run")
+        assert {counter: getattr(first.stats, counter) for counter in ADDITIVE_COUNTERS} == counters
+        assert sorted(first.histories.keys()) == keys
+        assert first.histories.duplicates == second.histories.duplicates == 0
+
     def test_workers_zero_on_one_cpu_drains_in_process(self, monkeypatch):
         # One worker per CPU on a one-CPU host is the in-process drain:
         # no pool, no seed phase, no per-participant stats.
