@@ -48,8 +48,8 @@ Commands
     binds a free port.
 
 ``difftest``
-    Run workloads on the in-process threaded MVCC engine
-    (:mod:`repro.engine`) across scheduler seeds, record each commit log
+    Run workloads on the in-process MVCC engine (:mod:`repro.engine`)
+    across scheduler seeds, record each commit log
     as a trace, replay it through the online checker, and report each
     engine configuration's *claimed* vs. *detected* isolation level.
     Exits 1 when any config fails to uphold its claim (which is the
@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     difftest = sub.add_parser(
         "difftest",
-        help="differential-test the threaded MVCC engine against the online checker",
+        help="differential-test the MVCC engine against the online checker",
     )
     difftest.add_argument(
         "--config",
@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     difftest.add_argument("--seeds", type=_int_at_least(1), default=8, help="sweep scheduler seeds 0..N-1 (default 8)")
     difftest.add_argument("--seed", type=int, default=None, help="run exactly one scheduler seed")
-    difftest.add_argument("--threads", type=_int_at_least(1), default=2, help="sessions/threads per workload (default 2)")
+    difftest.add_argument("--threads", type=_int_at_least(1), default=2, help="sessions per workload (default 2)")
     difftest.add_argument("--txns", type=_int_at_least(1), default=2, help="transactions per session (default 2)")
     difftest.add_argument("--out", metavar="DIR", default=None, help="write every recorded trace to DIR")
     difftest.set_defaults(fn=_cmd_difftest)

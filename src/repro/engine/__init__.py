@@ -1,9 +1,10 @@
-"""A real (if small) threaded MVCC engine for differential isolation testing.
+"""A real (if small) MVCC engine for differential isolation testing.
 
 This package is the *system under test* side of the repo: everything else
 checks histories and traces; :mod:`repro.engine` produces them from an
-actual multi-threaded storage engine with locks, snapshots, and seeded
-bugs.  See ``docs/engine.md`` for the concurrency-control details and the
+actual storage engine with locks, snapshots, and seeded bugs, whose
+concurrent client sessions a seeded driver interleaves one engine
+operation at a time.  See ``docs/engine.md`` for the concurrency-control details and the
 claimed-level table, and ``repro difftest --help`` for the CLI entry
 point.
 """
@@ -14,6 +15,7 @@ from .harness import (
     DifftestReport,
     EngineRun,
     RunVerdict,
+    SchedulerStuck,
     detected_level,
     hotkey_program,
     increment_program,
@@ -38,7 +40,6 @@ from .mvcc import (
     engine_configs,
     get_engine_config,
 )
-from .schedule import FreeScheduler, Scheduler, SchedulerStuck, SeededScheduler
 
 __all__ = [
     "BUG_DEMOS",
@@ -48,17 +49,14 @@ __all__ = [
     "EngineError",
     "EngineRun",
     "EXCLUSIVE",
-    "FreeScheduler",
     "HONEST_CONFIGS",
     "LockManager",
     "MVCCEngine",
     "RunVerdict",
     "SEEDED_BUGS",
     "SHARED",
-    "Scheduler",
     "SchedulerStuck",
     "SeededBug",
-    "SeededScheduler",
     "TransactionAborted",
     "WouldBlock",
     "detected_level",

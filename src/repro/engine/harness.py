@@ -1,45 +1,52 @@
 """Differential-testing harness: programs → engine → trace → checker.
 
 The harness closes the loop the ROADMAP calls "real storage engine in the
-loop": it runs an ordinary :class:`~repro.lang.program.Program` — one OS
-thread per session, each transaction interpreted by the generator the
-model checker replays (:func:`repro.semantics.executor.execute`) — against
-an :class:`~repro.engine.mvcc.MVCCEngine`, adapts the engine's commit log
+loop": it runs an ordinary :class:`~repro.lang.program.Program` against an
+:class:`~repro.engine.mvcc.MVCCEngine`, adapts the engine's commit log
 into a v1 trace, replays that trace through
 :class:`~repro.checking.online.OnlineChecker`, and compares the level the
 engine *claims* against the strongest level the checker can *confirm*.
+
+Each session is a generator that yields its next engine operation, with
+every transaction body interpreted by the generator the model checker
+replays (:func:`repro.semantics.executor.execute`).  One thread drives
+them all: a ``random.Random(seed)`` draws which live session not blocked
+on a lock performs the next operation, so the trace is a function of
+``(program, config, seed)`` and "config X lies on workload W at seed k"
+is a reproducible regression, not a flaky race.  :func:`run_difftest`
+sweeps those seeds.
 
 Engine-forced aborts (deadlock victims, first-committer-wins losers) are
 retried as fresh transactions of the same session, exactly like a real
 client; the trace therefore contains the aborted attempts too, which the
 checker's abort semantics (§2.2.1) handle natively.
-
-:func:`run_difftest` sweeps seeds of the deterministic lockstep scheduler
-(:class:`~repro.engine.schedule.SeededScheduler`), so "config X lies on
-workload W at seed k" is a reproducible regression, not a flaky race.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import random
-import threading
 
 from ..apps.workloads import APPLICATIONS, client_program
 from ..checking.online import DEFAULT_LEVELS, OnlineChecker, OnlineStep
 from ..core.events import TxnId
 from ..lang.expr import L
-from ..lang.program import Program, ProgramBuilder
+from ..lang.program import Program, ProgramBuilder, Transaction
 from ..semantics.executor import AbortOp, CommitOp, ReadOp, execute
 from ..trace.format import Trace
-from .locks import TransactionAborted, TxnKey
+from .locks import TransactionAborted, TxnKey, WouldBlock
 from .mvcc import EngineConfig, EngineStats, MVCCEngine, SEEDED_BUGS, engine_configs
-from .schedule import FreeScheduler, Scheduler, SeededScheduler
 
 #: How often an engine-aborted transaction is retried before giving up.
 DEFAULT_MAX_RETRIES = 8
+
+#: One engine operation of a session, ready to run: ``begin``, ``read``,
+#: ``write``, ``commit`` or ``abort`` with its arguments bound.
+EngineOp = Callable[[], object]
+#: A client session: yields its next engine operation, resumed with its result.
+Session = Generator[EngineOp, object, None]
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +63,7 @@ class EngineRun:
     trace: Trace
     stats: EngineStats
     spans: Dict[TxnKey, Tuple[int, int]]
-    seed: Optional[int]
+    seed: int
     gave_up: List[Tuple[str, int]] = field(default_factory=list)
 
     def check(self, levels: Iterable[str] = DEFAULT_LEVELS) -> "RunVerdict":
@@ -125,50 +132,36 @@ def detected_level(verdicts: Mapping[str, bool]) -> Optional[str]:
     return detected
 
 
+class SchedulerStuck(RuntimeError):
+    """Every live session is blocked and no lock release can wake one (engine bug)."""
+
+
 def run_program(
     program: Program,
     config: EngineConfig,
-    seed: Optional[int] = None,
-    scheduler: Optional[Scheduler] = None,
+    seed: int,
     max_retries: int = DEFAULT_MAX_RETRIES,
     name: Optional[str] = None,
 ) -> EngineRun:
-    """Execute ``program`` on a fresh engine, one thread per session.
+    """Execute ``program`` on a fresh engine under the seeded driver.
 
-    With ``seed`` the deterministic lockstep scheduler drives the threads
-    (same seed → byte-identical trace); with neither ``seed`` nor
-    ``scheduler`` the threads free-run.
+    Each session is a generator (:func:`_session`) that yields its next
+    engine operation; a ``random.Random(seed)`` draws which live, unblocked
+    session performs it.  The trace is a function of
+    ``(program, config, seed)``: same seed, byte-identical trace.
     """
-    if scheduler is None:
-        scheduler = SeededScheduler(seed) if seed is not None else FreeScheduler()
     engine = MVCCEngine(
         config,
         program.variables,
         initial=dict(program.initial_values),
-        scheduler=scheduler,
         default_initial=program.initial_value,
     )
-    scheduler.register(program.sessions)
     gave_up: List[Tuple[str, int]] = []
-    errors: Dict[str, BaseException] = {}
-    threads = [
-        threading.Thread(
-            target=_session_worker,
-            args=(engine, scheduler, session, txns, max_retries, gave_up, errors),
-            name=f"difftest-{session}",
-            daemon=True,
-        )
+    sessions = {
+        session: _session(engine, session, txns, max_retries, gave_up)
         for session, txns in program.sessions.items()
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        if thread.is_alive():
-            raise RuntimeError(f"worker {thread.name} did not finish (engine wedged?)")
-    if errors:
-        session, err = sorted(errors.items())[0]
-        raise RuntimeError(f"worker for session {session!r} failed: {err!r}") from err
+    }
+    _drive(engine, sessions, random.Random(seed))
     trace = engine.to_trace(
         name=name or f"{program.name}@{config.name}",
         meta={"seed": seed, "program": program.name},
@@ -184,48 +177,78 @@ def run_program(
     )
 
 
-def _session_worker(
+def _drive(engine: MVCCEngine, sessions: Dict[str, Session], rng: random.Random) -> None:
+    """Run every session to its end, one engine operation per draw.
+
+    Each draw picks among the live sessions not blocked on a lock.  A
+    session whose operation raised :class:`WouldBlock` keeps that operation
+    pending and stays out of the draw until the engine passes a lock
+    release point; :class:`TransactionAborted` is thrown into the session.
+    """
+    pending: Dict[str, EngineOp] = {}
+    for session, client in sessions.items():
+        op = next(client, None)
+        if op is not None:
+            pending[session] = op
+    blocked: Dict[str, str] = {}  # session → key it last blocked on
+    while pending:
+        runnable = sorted(session for session in pending if session not in blocked)
+        if not runnable:
+            raise SchedulerStuck(f"all live sessions blocked: {dict(sorted(blocked.items()))}")
+        session = rng.choice(runnable)
+        client = sessions[session]
+        releases = engine.releases
+        try:
+            try:
+                result = pending[session]()
+            except WouldBlock as wb:  # raised before any engine state changed
+                blocked[session] = wb.key
+                continue
+            except TransactionAborted as aborted:
+                pending[session] = client.throw(aborted)
+            else:
+                pending[session] = client.send(result)
+        except StopIteration:
+            del pending[session]
+        except Exception as err:
+            raise RuntimeError(f"worker for session {session!r} failed: {err!r}") from err
+        if engine.releases != releases:
+            blocked.clear()  # a lock may have come free: every session may retry
+
+
+def _session(
     engine: MVCCEngine,
-    scheduler: Scheduler,
     session: str,
-    txns: Sequence,
+    txns: Sequence[Transaction],
     max_retries: int,
     gave_up: List[Tuple[str, int]],
-    errors: Dict[str, BaseException],
-) -> None:
-    try:
-        for position, txn_decl in enumerate(txns):
-            attempts = 0
-            while True:
-                try:
-                    _run_transaction(engine, scheduler, session, txn_decl)
-                    break
-                except TransactionAborted:
-                    attempts += 1
-                    if attempts > max_retries:
-                        gave_up.append((session, position))
-                        break
-    except BaseException as err:  # surfaced to run_program after join
-        errors[session] = err
-    finally:
-        scheduler.finish(session)
+) -> Session:
+    """One client session: yields each engine operation, resumed with its result.
 
-
-def _run_transaction(engine: MVCCEngine, scheduler: Scheduler, session: str, txn_decl) -> None:
-    """Drive one transaction body against the engine, op by op."""
-    handle = scheduler.run_op(session, lambda: engine.begin(session))
-    run = execute(txn_decl, {})
-    op = next(run)
-    while not isinstance(op, (CommitOp, AbortOp)):
-        if isinstance(op, ReadOp):
-            var = op.var
-            op = run.send(scheduler.run_op(session, lambda: engine.read(handle, var)))
+    An engine-forced abort is thrown in at the yield; the transaction is then
+    retried as a fresh engine transaction, up to ``max_retries`` times.
+    """
+    for position, txn_decl in enumerate(txns):
+        for _attempt in range(max_retries + 1):
+            try:
+                handle = yield lambda: engine.begin(session)
+                run = execute(txn_decl, {})
+                op = next(run)
+                while not isinstance(op, (CommitOp, AbortOp)):
+                    if isinstance(op, ReadOp):
+                        var = op.var
+                        op = run.send((yield lambda: engine.read(handle, var)))
+                    else:
+                        var, value = op.var, op.value
+                        yield lambda: engine.write(handle, var, value)
+                        op = run.send(None)
+                finish = engine.abort if isinstance(op, AbortOp) else engine.commit
+                yield lambda: finish(handle)
+                break
+            except TransactionAborted:
+                pass
         else:
-            var, value = op.var, op.value
-            scheduler.run_op(session, lambda: engine.write(handle, var, value))
-            op = run.send(None)
-    finish = engine.abort if isinstance(op, AbortOp) else engine.commit
-    scheduler.run_op(session, lambda: finish(handle))
+            gave_up.append((session, position))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,8 @@
 The engine's concurrency control is built from per-key shared/exclusive
 locks.  The manager is deliberately *non-blocking*: an acquisition that
 cannot be granted raises :class:`WouldBlock` after recording the wait-for
-edges, and the caller (the scheduler-driven worker loop in
-:mod:`repro.engine.harness`) decides how to wait.  This keeps the lock
-manager usable both under real free-running threads and under the
-deterministic lockstep scheduler — blocking policy lives in one place,
-the scheduler.
+edges, and the caller (the seeded driver in :mod:`repro.engine.harness`)
+decides how to wait — blocking policy lives in one place, the driver.
 
 Deadlocks are detected on the wait-for graph at acquisition time: a
 request that would close a cycle aborts the *requesting* transaction (the
@@ -42,7 +39,7 @@ class TransactionAborted(Exception):
     """The engine aborted the transaction (deadlock victim, FCW loser).
 
     The abort is already recorded in the commit log when this propagates;
-    the worker loop reacts by retrying the program transaction as a fresh
+    the session reacts by retrying the program transaction as a fresh
     engine transaction (new index in the same session).
     """
 
@@ -56,7 +53,7 @@ class WouldBlock(Exception):
     """Internal control flow: the operation must wait for ``key``.
 
     Raised *before* any engine state changed, so the operation can simply
-    be retried once the scheduler re-runs it.
+    be retried once the driver re-runs it.
     """
 
     def __init__(self, key: str, holders: FrozenSet[TxnKey]):

@@ -1,4 +1,4 @@
-"""A small in-process, multi-threaded MVCC key-value engine.
+"""A small in-process MVCC key-value engine.
 
 This is the "system under test" half of the differential-testing harness:
 a storage engine with version-chain storage, a :class:`LockManager` with
@@ -44,7 +44,6 @@ from .locks import (
     TxnKey,
     WouldBlock,
 )
-from .schedule import Scheduler
 
 #: The commit-log name the trace format reserves for the initial state.
 INIT_KEY: TxnKey = (INIT_SESSION, 0)
@@ -237,15 +236,15 @@ class EngineStats:
 
 
 class MVCCEngine:
-    """Version-chain storage driven through a scheduler by worker threads.
+    """Version-chain storage whose operations clients interleave.
 
-    Every public operation is guarded by a single engine latch, so under
-    free-running threads individual operations are atomic (like a real
-    engine's short internal critical sections) while their *interleaving*
-    is genuinely concurrent.  The commit log is appended under the latch
-    in observation order, which is what makes it a replayable trace: a
-    read is always logged after the write it observed, a begin before the
-    transaction's operations, and session indices are sequential.
+    Every public operation is atomic under a single engine latch (like a
+    real engine's short internal critical sections); the harness
+    interleaves whole operations of concurrent transactions.  The commit
+    log is appended under the latch in observation order, which is what
+    makes it a replayable trace: a read is always logged after the write
+    it observed, a begin before the transaction's operations, and session
+    indices are sequential.
     """
 
     def __init__(
@@ -253,15 +252,17 @@ class MVCCEngine:
         config: EngineConfig,
         variables: Tuple[str, ...],
         initial: Optional[Mapping[str, Hashable]] = None,
-        scheduler: Optional[Scheduler] = None,
         default_initial: Hashable = 0,
     ):
         self.config = config
         self.variables = tuple(sorted(variables))
         self.initial = {var: default_initial for var in self.variables}
         self.initial.update(initial or {})
-        self.scheduler = scheduler
         self.stats = EngineStats()
+        #: Lock release points passed: commit, every abort and the early
+        #: release write.  The driver lets blocked sessions retry whenever
+        #: this moves, whether or not a lock was actually freed.
+        self.releases = 0
         self._latch = threading.RLock()
         #: var → version chain: list of (commit_seq, writer, value), seq ascending.
         self._versions: Dict[str, List[Tuple[int, TxnKey, Hashable]]] = {
@@ -284,7 +285,7 @@ class MVCCEngine:
             frozenset(self.variables[::2]) if config.replica_lag else frozenset()
         )
 
-    # -- public transaction API (call via scheduler.run_op) --------------------
+    # -- public transaction API -------------------------------------------------
 
     def begin(self, session: str) -> EngineTxn:
         with self._latch:
@@ -352,7 +353,7 @@ class MVCCEngine:
                 # immediately, exposing the uncommitted value to everyone.
                 self._dirty.setdefault(var, []).append((txn.key, value))
                 self._locks.release(txn.key, var)
-                self._wake()
+                self.releases += 1
 
     def commit(self, txn: EngineTxn) -> None:
         with self._latch:
@@ -379,7 +380,7 @@ class MVCCEngine:
             self._touch(txn)
             self._append({"type": "commit", "session": txn.session, "txn": txn.index})
             self._locks.release_all(txn.key)
-            self._wake()
+            self.releases += 1
 
     def abort(self, txn: EngineTxn) -> None:
         """Voluntary abort (the program executed its abort instruction)."""
@@ -405,13 +406,6 @@ class MVCCEngine:
             name=name,
             meta=full_meta,
         )
-
-    def concurrent(self, a: TxnKey, b: TxnKey) -> bool:
-        """Whether the two transactions' operation spans overlapped."""
-        sa, sb = self.spans.get(a), self.spans.get(b)
-        if sa is None or sb is None:
-            return False
-        return sa[0] <= sb[1] and sb[0] <= sa[1]
 
     # -- internals --------------------------------------------------------------
 
@@ -451,7 +445,7 @@ class MVCCEngine:
         self._touch(txn)
         self._append({"type": "abort", "session": txn.session, "txn": txn.index})
         self._locks.release_all(txn.key)
-        self._wake()
+        self.releases += 1
 
     def _drop_dirty(self, var: str, txn_key: TxnKey) -> None:
         stack = self._dirty.get(var)
@@ -465,10 +459,6 @@ class MVCCEngine:
         self._tick += 1
         first, _ = self.spans.get(txn.key, (self._tick, self._tick))
         self.spans[txn.key] = (first, self._tick)
-
-    def _wake(self) -> None:
-        if self.scheduler is not None:
-            self.scheduler.wake()
 
     def _check_pending(self, txn: EngineTxn) -> None:
         if txn.status != "pending":

@@ -50,9 +50,6 @@ from ..lang.program import Transaction
 #: Compiled instructions dispatched by :func:`execute` since interpreter
 #: start: the explorer's replays and the engine's transactions alike.  The
 #: per-node cost profile of the exploration reports deltas of this counter.
-#: The ``+=`` is not atomic.  Under the engine's ``SeededScheduler`` only
-#: one session thread interprets at a time, so the count is exact there;
-#: free-running session threads can lose increments.
 INSTRUCTIONS_EXECUTED = 0
 
 

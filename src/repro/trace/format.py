@@ -126,7 +126,7 @@ class TraceEvent:
     def from_json_obj(cls, obj: Mapping) -> "TraceEvent":
         """Parse one event line (already JSON-decoded)."""
         op = obj.get("type")
-        if op not in _EVENT_TYPES:
+        if not isinstance(op, str) or op not in _EVENT_TYPES:
             raise TraceFormatError(f"unknown event type {op!r}")
         session = obj.get("session")
         txn = obj.get("txn")

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -8,6 +10,13 @@ PROGRAM = """
 session w { transaction { write(x, 2); write(y, 2); } }
 session r { transaction { a := read(x); b := read(y); } }
 """
+
+
+def _trace_with_event_type(kind):
+    """A header plus one event whose ``"type"`` is ``kind``."""
+    header = {"type": "header", "format": "repro-trace", "version": 1, "variables": ["x"]}
+    event = {"type": kind, "session": "s", "txn": 0}
+    return json.dumps(header) + "\n" + json.dumps(event) + "\n"
 
 
 @pytest.fixture
@@ -80,8 +89,6 @@ class TestBench:
 class TestBenchDiff:
     @staticmethod
     def _write(path, cases):
-        import json
-
         path.write_text(json.dumps({"schema": "repro-bench-v1", "cases": cases}))
 
     def test_file_pair_speedups_and_exit_zero(self, tmp_path, capsys):
@@ -231,8 +238,6 @@ class TestRecordReplay:
     def test_replay_rejects_bad_event_order_cleanly(self, tmp_path):
         """Valid JSON whose events violate the order rules must exit via a
         clean error on both the batch and online paths, not a traceback."""
-        import json
-
         bad = tmp_path / "order.jsonl"
         bad.write_text(
             json.dumps({"type": "header", "format": "repro-trace", "version": 1,
@@ -246,6 +251,17 @@ class TestRecordReplay:
             main(["replay", str(bad)])
         with pytest.raises(SystemExit, match="missing begin"):
             main(["replay", str(bad), "--online"])
+
+    @pytest.mark.parametrize("kind", ["bogus", {}, []])
+    def test_replay_rejects_unknown_event_types_cleanly(self, tmp_path, kind):
+        """A JSON object or array as the event type fails like an unknown
+        name does, on both the batch and online paths."""
+        bad = tmp_path / "type.jsonl"
+        bad.write_text(_trace_with_event_type(kind))
+        for extra in ([], ["--online"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["replay", str(bad), *extra])
+            assert exc.value.code == f"error: {bad}: line 2: unknown event type {kind!r}"
 
     def test_replay_online_supports_every_registered_level(self, tmp_path):
         """The registry made every level online-checkable — TRUE included."""
@@ -379,6 +395,13 @@ class TestMonitor:
 
         monkeypatch.setattr(_sys, "stdin", io.StringIO(text))
         return main(argv)
+
+    @pytest.mark.parametrize("kind", ["bogus", {}, []])
+    def test_unknown_event_type_is_a_clean_error(self, monkeypatch, kind):
+        with pytest.raises(SystemExit) as exc:
+            self._pipe(monkeypatch, _trace_with_event_type(kind),
+                       ["monitor", "--stdin", "--isolation", "RC"])
+        assert exc.value.code == f"error: line 2: unknown event type {kind!r}"
 
     def test_honest_workload_is_consistent(self, monkeypatch, capsys):
         """Acceptance: an honest recorded app workload monitors clean."""

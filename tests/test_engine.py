@@ -1,10 +1,15 @@
-"""Unit tests for the threaded MVCC engine (repro.engine).
+"""Unit tests for the MVCC engine (repro.engine).
 
 These pin the engine's mechanics — locks, deadlock detection, snapshot
-visibility, the deterministic lockstep scheduler, and the commit-log →
-trace adapter — independently of what the isolation checker later says
-about the traces (that's ``tests/test_engine_difftest.py``).
+visibility, the seeded session driver, and the commit-log → trace
+adapter — independently of what the isolation checker later says about
+the traces (that's ``tests/test_engine_difftest.py``).
 """
+
+import dataclasses
+import hashlib
+import json
+import random
 
 import pytest
 
@@ -16,14 +21,19 @@ from repro.engine import (
     LockManager,
     MVCCEngine,
     SEEDED_BUGS,
+    SchedulerStuck,
     TransactionAborted,
     WouldBlock,
     engine_configs,
     get_engine_config,
     hotkey_program,
+    run_difftest,
     run_program,
 )
 from repro.engine.harness import BUG_DEMOS, detected_level, workload_program
+from repro.lang import L, Program, Transaction, assign, read, write
+from repro.lang.expr import concat
+from repro.semantics import executor
 
 
 class TestLockManager:
@@ -186,14 +196,6 @@ class TestScheduledRuns:
         traces = {run_program(program, config, seed=s).trace.dumps() for s in range(6)}
         assert len(traces) > 1
 
-    def test_free_running_threads_produce_a_valid_trace(self):
-        """Without a seed the threads race for real; the commit log must
-        still replay as a well-formed trace."""
-        program = hotkey_program(3, 3, seed=5)
-        run = run_program(program, get_engine_config("serializable"))
-        run.trace.to_history(strict=True)
-        assert run.check().verdicts["SER"] is True
-
     def test_engine_aborts_are_retried_as_new_indices(self):
         """Deadlock victims reappear as fresh transactions of the session."""
         program = workload_program("increments", sessions=3, txns_per_session=3)
@@ -210,6 +212,28 @@ class TestScheduledRuns:
         assert len(aborts) == found.stats.deadlock_aborts
         found.trace.to_history(strict=True)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_body_error_fails_the_run_at_once(self, seed):
+        """An error in one session fails the run, even while another
+        session is blocked on a lock the failing one holds."""
+        program = Program({
+            "s": [Transaction("t", (write("x", 1), assign("k", 1),
+                                    read("a", concat("row_", L("k")))))],
+            "u": [Transaction("v", (read("b", "x"),))],
+        })
+        with pytest.raises(RuntimeError, match="session 's' failed") as exc:
+            run_program(program, get_engine_config("serializable"), seed=seed)
+        assert isinstance(exc.value.__cause__, EngineError)
+        assert "unknown variable 'row_1'" in str(exc.value.__cause__)
+
+    def test_undetected_deadlock_raises_instead_of_hanging(self, monkeypatch):
+        """With deadlock detection switched off, seed 3's upgrade deadlock
+        leaves every live session blocked: the driver says so."""
+        monkeypatch.setattr(LockManager, "_closes_cycle", lambda self, start: False)
+        program = workload_program("increments", sessions=2, txns_per_session=1)
+        with pytest.raises(SchedulerStuck, match="all live sessions blocked"):
+            run_program(program, get_engine_config("serializable"), seed=3)
+
     def test_run_records_spans_for_race_forensics(self):
         program = workload_program("increments", sessions=2, txns_per_session=1)
         run = run_program(program, get_engine_config("read-committed"), seed=0)
@@ -224,6 +248,68 @@ class TestScheduledRuns:
         assert meta["claimed"] == "SI"
         assert meta["bug"] == "stale_snapshot"
         assert meta["seed"] == 1
+
+
+#: SHA-256 of :func:`_pinned_runs_digest`, recorded when each session ran
+#: on its own thread in seeded lockstep.  The one-thread driver must draw
+#: the same sessions in the same order, so every trace stays the same.
+PINNED_RUNS_DIGEST = "622b6fb40b8931f309b3e65b9c9e3d8798db4076ba383314e8c6abe1888022ea"
+
+
+def _pinned_runs_digest():
+    """Digest the runs difftest and stream-search's set-up make at seed 1.
+
+    Each run contributes its trace text, engine stats, sorted spans,
+    ``gave_up`` and the executor instructions it dispatched, as JSON, so
+    the digest depends on neither ``hash()`` nor set order.
+    """
+    digest = hashlib.sha256()
+
+    def record(run, instructions):
+        stats = run.stats
+        digest.update(json.dumps([
+            run.trace.dumps(),
+            [getattr(stats, f.name) for f in dataclasses.fields(stats)],
+            sorted([list(key), list(span)] for key, span in run.spans.items()),
+            [list(entry) for entry in run.gave_up],
+            instructions,
+        ]).encode())
+        digest.update(b"\n")
+
+    def run(program, config, seed, **kwargs):
+        before = executor.INSTRUCTIONS_EXECUTED
+        result = run_program(program, config, seed=seed, **kwargs)
+        record(result, executor.INSTRUCTIONS_EXECUTED - before)
+
+    # perfbench difftest's runs at --seed 1: 1,300 runs at 2x3.
+    seeds = random.Random(1).sample(range(1 << 20), 100)
+    for name, config in engine_configs().items():
+        for workload in ["hotkeys"] + ([f"demo:{config.bug}"] if config.bug else []):
+            for seed in seeds:
+                run(workload_program(workload, 2, 3, seed), config, seed,
+                    name=f"{workload}@{name}#s{seed}")
+    # stream-search's 48 engine streams at --seed 1.
+    rng = random.Random(1)
+    serializable = get_engine_config("serializable")
+    for workload, txns in (("hotkeys", 60), ("tpcc", 50)):
+        for _ in range(24):
+            seed = rng.randrange(1 << 30)
+            run(workload_program(workload, 2, txns, seed), serializable, seed)
+    # repro difftest's default sweep.
+    mark = [executor.INSTRUCTIONS_EXECUTED]
+
+    def on_run(result):
+        now = executor.INSTRUCTIONS_EXECUTED
+        record(result.run, now - mark[0])
+        mark[0] = now
+
+    run_difftest(seeds=range(8), on_run=on_run)
+    return digest.hexdigest()
+
+
+class TestPinnedTraces:
+    def test_traces_match_the_recorded_digest(self):
+        assert _pinned_runs_digest() == PINNED_RUNS_DIGEST
 
 
 class TestDetectedLevel:

@@ -149,6 +149,13 @@ class TestSchemaValidation:
         with pytest.raises(TraceFormatError, match="unknown event type"):
             Trace.loads(header + "\n" + bad)
 
+    @pytest.mark.parametrize("kind", [{}, []])
+    def test_non_string_event_type_rejected(self, kind):
+        header = json.dumps(TraceHeader(variables=("x",)).to_json_obj())
+        bad = json.dumps({"type": kind, "session": "s", "txn": 0})
+        with pytest.raises(TraceFormatError, match=r"line 2: unknown event type [\[{]"):
+            Trace.loads(header + "\n" + bad)
+
     def test_external_read_requires_source(self):
         with pytest.raises(TraceFormatError, match="from"):
             TraceEvent.from_json_obj({"type": "read", "session": "s", "txn": 0, "var": "x"})
