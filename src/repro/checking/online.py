@@ -25,7 +25,7 @@ What is incremental
   re-checked only after an external read (the one event adding an edge
   they can use; they are monotone in the grow-only prefix), and the
   verdict is the maintained closure's O(1) acyclicity flag;
-* the search levels — SI, SER, PSI, PC, BS-3 — re-run their memoized
+* the search levels — SI, SER, PSI, PC, BS-3 — decide by their memoized
   searches (their axioms mention the commit order, so no saturation state
   carries over), but only on an event that can change the verdict, and on
   state the checker maintains rather than rebuilds: the matrix
@@ -34,8 +34,9 @@ What is incremental
   ``History.adopt_summaries``: a ``begin`` appends a row, an external read
   its ``(variable, source)``, a first write its variable, a writer's abort
   clears the writes and keeps the reads, and :meth:`OnlineChecker.evict`
-  compacts the rows as the matrix does).  Without a search level nothing
-  of this is kept.
+  compacts the rows as the matrix does).  SER, SI and PC re-check the
+  witness of their last search first, and most events never search (see
+  below).  Without a search level nothing of this is kept.
 
 Which camp a level falls in is read off its
 :class:`~repro.isolation.registry.LevelSpec`, so spec-registered
@@ -59,6 +60,27 @@ history is a prefix of the new one.  So a search runs only on an external
 read, a first write or a writer's abort, and on a violated prefix-closed
 level only on a writer's abort.
 
+On such an event SER, SI and PC first re-check a witness.  Def. 2.2 is
+existential, so the path a successful search took certifies its verdict:
+a commit order for SER, a start/commit schedule for SI and PC.  The
+checker keeps the last one per level (:meth:`OnlineChecker.witness`),
+keyed by :class:`~repro.core.events.TxnId`; eviction drops transactions
+from it and a violated verdict drops it.  The re-check re-runs the
+search's own step conditions along it, with the transactions begun since
+placed last in begin order (for SI/PC, start-then-commit), in one pass
+over the matrix's ancestor rows and the summaries' rows: no history is
+built and nothing is copied.  Each transaction needs its ``so ∪ wr``
+ancestors placed (for SI/PC: committed) before it; each external read's
+source must be the last visible writer of its variable placed (for SI/PC:
+committed) before it (before it starts); every live transaction appears
+exactly once; and for SI no two writers of a common variable overlap.  A
+passing re-check is a witness for exactly the state the search would
+see, so the verdict is the search's.  Only a failing re-check, or no
+witness, searches, and that search's witness (cached on the history it
+ran on, so it costs no second search) replaces the old one.  Which levels
+keep a witness, and how it is re-checked, is read off
+``LevelSpec.witness``.  PSI and BS-3 search every time.
+
 The abort exception
 -------------------
 
@@ -80,7 +102,7 @@ from ..core.bitrel import RelationMatrix
 from ..core.events import INIT_TXN, Event, TxnId
 from ..core.history import History
 from ..isolation.base import IsolationLevel, get_level
-from ..isolation.registry import LevelSpec, level_spec
+from ..isolation.registry import LevelSpec, WitnessCheck, level_spec
 from ..isolation.saturation import IncrementalSaturation
 from ..isolation.summaries import LiveSummaries
 from ..trace.format import Trace, TraceEvent, TraceHeader, TraceReplayer
@@ -251,6 +273,14 @@ class OnlineChecker:
         self._prefix_closed: Set[str] = {
             name for name in search if level_spec(name).prefix_closed
         }
+        #: Search levels that keep a witness, and how to re-check it.
+        self._witness_checks: Dict[str, WitnessCheck] = {
+            name: level_spec(name).witness
+            for name in search
+            if level_spec(name).witness is not None
+        }
+        #: Level → the witness of its last search, while that level holds.
+        self._witnesses: Dict[str, Tuple[TxnId, ...]] = {}
         #: The searches' per-transaction summaries, on ``_causal``'s rows;
         #: kept only when some level searches.
         self._summaries: Optional[LiveSummaries] = (
@@ -355,16 +385,14 @@ class OnlineChecker:
                 verdicts[name] = base_acyclic and self._saturation[name].consistent
             elif not base_acyclic:
                 verdicts[name] = False
+                self._witnesses.pop(name, None)
             elif inert:
                 verdicts[name] = previous.get(name, True)
             elif not (retracts or previous.get(name, True)) and name in self._prefix_closed:
                 # The old history is a prefix of the new one: still violated.
                 verdicts[name] = False
             else:
-                # Search levels (SI/SER/PSI/PC/BS-3 and any spec-registered
-                # extension): batch check on the prefix history, running on
-                # the maintained matrix and summaries it adopts.
-                verdicts[name] = get_level(name).satisfies(self.history())
+                verdicts[name] = self._decide(name)
         newly = tuple(
             name for name in self.levels if not verdicts[name] and previous.get(name, True)
         )
@@ -378,6 +406,29 @@ class OnlineChecker:
         if self._record_steps or newly:
             self._steps.append(step)
         return step
+
+    def _decide(self, name: str) -> bool:
+        """Decide search level ``name`` on the current prefix.
+
+        Re-check the level's last witness first, on the maintained matrix
+        and summaries; only when that fails, or there is none, run the
+        batch check (SI/SER/PSI/PC/BS-3 or any spec-registered extension)
+        on the prefix history, which adopts the maintained matrix and
+        summaries.  Its witness replaces the old one; a violation drops it.
+        """
+        check = self._witness_checks.get(name)
+        witness = self._witnesses.pop(name, None)
+        if witness is not None:
+            index = self._causal.index_of
+            rows = [index(tid) for tid in witness]
+            if check.recheck(rows, self._summaries.view(self._causal)):
+                self._witnesses[name] = witness
+                return True
+        history = self.history()
+        holds = get_level(name).satisfies(history)
+        if holds and check is not None:
+            self._witnesses[name] = check.find(history)
+        return holds
 
     def replay(self, trace: Trace) -> List[OnlineStep]:
         """Feed every event of ``trace``; returns one step per event."""
@@ -484,6 +535,8 @@ class OnlineChecker:
                 writers[:] = [t for t in writers if t not in drop]
         for tid in drop:
             self._sources_read.pop(tid, None)
+        for name, witness in self._witnesses.items():
+            self._witnesses[name] = tuple(tid for tid in witness if tid not in drop)
         self._history = None
         self._evicted += len(drop)
         return len(drop)
@@ -572,15 +625,33 @@ class OnlineChecker:
         """Every step so far, in feed order."""
         return tuple(self._steps)
 
+    def witness(self, level: str) -> Optional[Tuple[TxnId, ...]]:
+        """The witness of ``level``'s last search, while the level holds.
+
+        A commit order for SER, a start/commit schedule for SI and PC (see
+        :func:`~repro.isolation.snapshot.si_witness`); None for a level
+        that keeps no witness, before its first search and while it is
+        violated.  Evicted transactions are dropped from it, and
+        transactions begun since that search are not in it: a re-check
+        places them last, in begin order.
+        """
+        name = self._checked(level)
+        return self._witnesses.get(name)
+
     def first_violation(self, level: str) -> Optional[OnlineStep]:
         """The step at which ``level`` first flipped to violated, if any."""
-        name = get_level(level).name
-        if name not in self.levels:
-            raise KeyError(f"level {name!r} is not being checked (have {self.levels})")
+        name = self._checked(level)
         for step in self._steps:
             if name in step.newly_violated:
                 return step
         return None
+
+    def _checked(self, level: str) -> str:
+        """The canonical name of ``level``; KeyError when it is not checked."""
+        name = get_level(level).name
+        if name not in self.levels:
+            raise KeyError(f"level {name!r} is not being checked (have {self.levels})")
+        return name
 
 
 def check_trace(

@@ -473,6 +473,12 @@ class RelationMatrix:
     def ancestors_mask(self, node: Node) -> int:
         return self._anc[self._index[node]]
 
+    @property
+    def ancestor_rows(self) -> List[int]:
+        """Every node's ancestor mask, by dense index: the maintained list
+        itself, not a copy (read only; it changes as edges are added)."""
+        return self._anc
+
     def descendants(self, node: Node) -> Set[Node]:
         """Strict descendants ``{d | (node, d) ∈ R+}`` as a node set."""
         return self.nodes_of_mask(self._desc[self._index[node]])

@@ -5,15 +5,23 @@ from .levels import BS3, CC, MR, MW, PC, PSI, RA, RC, RYW, SER, SESSION, SI, TRU
 from .reference import satisfies_reference, witness_commit_order
 from .axioms import AXIOMS_BY_LEVEL, ORDER_PREDICATES
 from .liveness import EvictionPolicy, eviction_policy, evictable_transactions
-from .registry import LevelSpec, lattice_edges, level_spec, level_specs, register_spec
+from .registry import (
+    LevelSpec,
+    WitnessCheck,
+    lattice_edges,
+    level_spec,
+    level_specs,
+    register_spec,
+)
 from .saturation import IncrementalSaturation, satisfies_by_saturation
 from .search import satisfies_bounded_staleness, satisfies_psi
-from .serializability import satisfies_ser
-from .snapshot import satisfies_pc, satisfies_si
+from .serializability import satisfies_ser, ser_witness
+from .snapshot import pc_witness, satisfies_pc, satisfies_si, schedule_commit_order, si_witness
 
 __all__ = [
     "IsolationLevel",
     "LevelSpec",
+    "WitnessCheck",
     "get_level",
     "registered_levels",
     "register_spec",
@@ -46,6 +54,10 @@ __all__ = [
     "satisfies_ser",
     "satisfies_si",
     "satisfies_pc",
+    "ser_witness",
+    "si_witness",
+    "pc_witness",
+    "schedule_commit_order",
     "satisfies_psi",
     "satisfies_bounded_staleness",
 ]

@@ -31,10 +31,10 @@ The lattice (weaker below, 20 edges)::
 from __future__ import annotations
 
 from .axioms import AXIOMS_BY_LEVEL, ORDER_PREDICATES
-from .registry import LevelSpec, register_spec
+from .registry import LevelSpec, WitnessCheck, register_spec
 from .search import satisfies_bounded_staleness, satisfies_psi
-from .serializability import satisfies_ser
-from .snapshot import satisfies_pc, satisfies_si
+from .serializability import recheck_ser, satisfies_ser, ser_witness
+from .snapshot import pc_witness, recheck_pc, recheck_si, satisfies_pc, satisfies_si, si_witness
 
 TRUE = register_spec(
     LevelSpec(
@@ -180,6 +180,7 @@ PC = register_spec(
         strength=11,
         axioms=AXIOMS_BY_LEVEL["PC"],
         check=satisfies_pc,
+        witness=WitnessCheck(pc_witness, recheck_pc),
         causally_extensible=False,
         stronger_than=("CC",),
         aliases=("prefix", "prefix consistency", "prefix-consistency"),
@@ -194,6 +195,7 @@ SI = register_spec(
         strength=12,
         axioms=AXIOMS_BY_LEVEL["SI"],
         check=satisfies_si,
+        witness=WitnessCheck(si_witness, recheck_si),
         causally_extensible=False,
         stronger_than=("PSI", "PC"),
         aliases=("snapshot", "snapshot isolation"),
@@ -208,6 +210,7 @@ SER = register_spec(
         strength=13,
         axioms=AXIOMS_BY_LEVEL["SER"],
         check=satisfies_ser,
+        witness=WitnessCheck(ser_witness, recheck_ser),
         causally_extensible=False,
         stronger_than=("SI", "BS-3"),
         aliases=("serializability", "serializable"),

@@ -30,14 +30,36 @@ Eviction rules (consumed by :mod:`repro.isolation.liveness`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.events import TxnId
 from ..core.history import History
 from .axioms import Axiom, OrderPredicate
 from .base import IsolationLevel, add_aliases, get_level, record_lattice, register
+from .summaries import DenseSummaries
 
 #: Valid eviction rule names, weakest pinning first.
 EVICTION_RULES = ("fresh", "writers", "inert")
+
+
+@dataclass(frozen=True)
+class WitnessCheck:
+    """A search level's witness, and the one-pass re-check of an old one.
+
+    Def. 2.2 is existential, so the commit order (or schedule) a successful
+    search finds certifies the verdict, and re-running the search's step
+    conditions along it decides the same history in one pass.  The online
+    checker re-checks its last witness before it searches again.
+    """
+
+    #: The witness the level's ``check`` found on a history, as transaction
+    #: ids (cached on the history by that check: no second search), or
+    #: None when it found none.
+    find: Callable[[History], Optional[Tuple[TxnId, ...]]]
+    #: ``recheck(rows, summaries)``: whether the search's step conditions
+    #: hold along a witness given in row indices of ``summaries``, with
+    #: the rows it leaves out (the last ones) placed after it in row order.
+    recheck: Callable[[Sequence[int], DenseSummaries], bool]
 
 
 @dataclass(frozen=True)
@@ -87,6 +109,10 @@ class LevelSpec:
     description: str = ""
     #: Monitor eviction rule: ``"fresh"`` | ``"writers"`` | ``"inert"``.
     eviction: str = "inert"
+    #: The search's witness and its re-check, for levels whose ``check``
+    #: keeps one (SER, SI, PC); the online checker then re-checks its last
+    #: witness before searching.  None: it searches every time.
+    witness: Optional[WitnessCheck] = None
 
     def derived_causal_extensibility(self) -> bool:
         if self.causally_extensible is not None:

@@ -26,13 +26,19 @@ word-parallel mask test against the ``so ∪ wr`` closure, widened with the
 saturation-forced direct edges (direct predecessors suffice: every
 reachable committed set is downward-closed, so ancestor- and
 direct-predecessor-completeness coincide).
+
+All three searches (this one, SER's and the SI/PC interval search) run on
+one loop, :func:`first_path`: a depth-first search whose stack is an
+explicit list, one candidate iterator per state on the current path, so a
+history's length costs heap rather than interpreter recursion.  The rows
+the path took are the search's witness when it succeeds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Set, Tuple
+from typing import Callable, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.events import INIT_TXN
+from ..core.events import INIT_TXN, TxnId
 from ..core.history import History
 from .axioms import AXIOMS_BY_LEVEL, Axiom
 from .saturation import satisfies_by_saturation
@@ -43,18 +49,74 @@ from .summaries import DenseSummaries, dense_summaries
 #: ``writer_seq`` violates no axiom instance whose reader is ``i``.
 CommitCheck = Callable[[int, Tuple[int, ...]], bool]
 
+#: A search state's successors: ``(row, child state)`` per step, in
+#: candidate order.
+Expand = Callable[[Hashable], Iterator[Tuple[int, Hashable]]]
+
+
+def first_path(
+    root: Hashable,
+    root_path: Sequence[int],
+    expand: Expand,
+    done: Callable[[Hashable], bool],
+) -> Optional[List[int]]:
+    """The rows of the first path from ``root`` to a state ``done`` accepts.
+
+    Depth-first in ``expand``'s candidate order, with an explicit stack:
+    one candidate iterator per state on the current path.  A state whose
+    candidates are exhausted is memoized as failed and never expanded
+    again; a child is tested against ``done`` before the memo, as a
+    recursive search tests on entry.  The returned list is ``root_path``
+    followed by the row of every step taken; None when no path exists.
+    """
+    path = list(root_path)
+    if done(root):
+        return path
+    failed: Set[Hashable] = set()
+    states = [root]
+    frames = [expand(root)]
+    while frames:
+        step = next(frames[-1], None)
+        if step is None:
+            failed.add(states.pop())
+            frames.pop()
+            path.pop()
+            continue
+        row, state = step
+        if done(state):
+            path.append(row)
+            return path
+        if state in failed:
+            continue
+        path.append(row)
+        states.append(state)
+        frames.append(expand(state))
+    return None
+
+
+def path_transactions(history: History, path: Optional[List[int]]) -> Optional[Tuple[TxnId, ...]]:
+    """A search path in row indices of ``history.causal_matrix()``, as
+    transaction ids (None stays None)."""
+    if path is None:
+        return None
+    nodes = history.causal_matrix().nodes
+    return tuple(nodes[i] for i in path)
+
 
 def _commit_order_search(
     history: History,
     co_free_axioms: Tuple[Axiom, ...],
     make_check: Callable[[DenseSummaries], CommitCheck],
-) -> bool:
-    """Is there a total co extending ``so ∪ wr`` ∪ forced edges passing ``check``?"""
+) -> Optional[List[int]]:
+    """A total co extending ``so ∪ wr`` ∪ forced edges that passes ``check``.
+
+    Returns it as row indices of ``history.causal_matrix()``, or None.
+    """
     # The co-free part first: forced edges + acyclicity, served from the
     # history's cached saturation state, whose fired edges are then every
     # forced edge.  Doubles as the base-acyclic gate.
     if not satisfies_by_saturation(history, co_free_axioms):
-        return False
+        return None
 
     matrix = history.causal_matrix()
     n = len(matrix)
@@ -67,30 +129,24 @@ def _commit_order_search(
 
     check = make_check(summaries)
     full = (1 << n) - 1
-    failed: Set[Tuple[int, Tuple[int, ...]]] = set()
 
-    def search(committed: int, writer_seq: Tuple[int, ...]) -> bool:
-        if committed == full:
-            return True
-        state = (committed, writer_seq)
-        if state in failed:
-            return False
+    def placements(state):
+        committed, writer_seq = state
         for i in range(n):
             if committed >> i & 1 or preds[i] & ~committed:
                 continue
             if not check(i, writer_seq):
                 continue
             next_seq = writer_seq + (i,) if writes_of[i] else writer_seq
-            if search(committed | (1 << i), next_seq):
-                return True
-        failed.add(state)
-        return False
+            yield i, (committed | (1 << i), next_seq)
 
     # init is an ancestor of everything, so it commits first; it writes the
     # initial value of every variable and heads the writer sequence.
     init = matrix.index_of(INIT_TXN)
     initial_seq = (init,) if writes_of[init] else ()
-    return search(1 << init, initial_seq)
+    return first_path(
+        (1 << init, initial_seq), (init,), placements, lambda state: state[0] == full
+    )
 
 
 def satisfies_psi(history: History) -> bool:
@@ -108,7 +164,7 @@ def satisfies_psi(history: History) -> bool:
     ``t4`` must satisfy ``co[t2] < co[t1]`` — i.e. no x-writer may sit
     between the read's source and the latest conflicting writer.
     """
-    return _commit_order_search(history, AXIOMS_BY_LEVEL["CC"], _make_psi_check)
+    return _commit_order_search(history, AXIOMS_BY_LEVEL["CC"], _make_psi_check) is not None
 
 
 def _make_psi_check(summaries: DenseSummaries) -> CommitCheck:
@@ -151,9 +207,10 @@ def satisfies_bounded_staleness(history: History, k: int = 3) -> bool:
     """
     if k < 1:
         raise ValueError(f"staleness bound must be >= 1, got {k}")
-    return _commit_order_search(
+    order = _commit_order_search(
         history, AXIOMS_BY_LEVEL["RC"], lambda summaries: _make_bs_check(summaries, k)
     )
+    return order is not None
 
 
 def _make_bs_check(summaries: DenseSummaries, k: int) -> CommitCheck:

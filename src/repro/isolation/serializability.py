@@ -27,15 +27,24 @@ is zero — a single word-parallel test against the maintained ``so ∪ wr``
 closure (valid because every committed set the search reaches is
 closure-downward-closed, so ancestor- and direct-predecessor-completeness
 coincide).  No per-check adjacency or predecessor map is rebuilt.
+
+The search is iterative (:func:`~repro.isolation.search.first_path`), and
+the path it took is its witness: a commit order, cached on the history
+(``History.witnesses``) so that :func:`ser_witness` after
+:func:`satisfies_ser` searches once.  :func:`recheck_ser` re-runs the
+search's step conditions along a given order, in one pass — what the
+online checker does with its last witness before it searches again.
 """
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.events import INIT_TXN
+from ..core.events import INIT_TXN, TxnId
 from ..core.history import History
-from .summaries import dense_summaries
+from .search import first_path, path_transactions
+from .summaries import DenseSummaries, dense_summaries
 
 
 def satisfies_ser(history: History) -> bool:
@@ -45,22 +54,37 @@ def satisfies_ser(history: History) -> bool:
     the ``so ∪ wr`` closure (the online checker) seed it via
     ``History.adopt_causal_matrix`` so no from-scratch build happens here.
     """
+    return _commit_order(history) is not None
+
+
+def ser_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
+    """A commit order witnessing that ``history`` is serializable, or None.
+
+    Every transaction appears once, ``init`` first.  The order extends
+    ``so ∪ wr`` and passes the SER axiom (``axioms.axioms_hold``).
+    """
+    return path_transactions(history, _commit_order(history))
+
+
+def _commit_order(history: History) -> Optional[List[int]]:
+    """The search's commit order in row indices, searched once per history."""
+    witnesses = history.witnesses()
+    if "SER" not in witnesses:
+        witnesses["SER"] = _search(history)
+    return witnesses["SER"]  # type: ignore[return-value]
+
+
+def _search(history: History) -> Optional[List[int]]:
     matrix = history.causal_matrix()
     if not matrix.is_acyclic():
-        return False
+        return None
 
     n = len(matrix)
     ancestors, reads_of, writes_of, _write_mask, num_vars = dense_summaries(history, matrix)
-
     full = (1 << n) - 1
-    failed: Set[Tuple[int, Tuple[int, ...]]] = set()
 
-    def search(committed: int, last_writer: Tuple[int, ...]) -> bool:
-        if committed == full:
-            return True
-        state = (committed, last_writer)
-        if state in failed:
-            return False
+    def placements(state):
+        committed, last_writer = state
         for i in range(n):
             if committed >> i & 1 or ancestors[i] & ~committed:
                 continue
@@ -75,12 +99,34 @@ def satisfies_ser(history: History) -> bool:
                 next_writer = tuple(updated)
             else:
                 next_writer = last_writer
-            if search(committed | (1 << i), next_writer):
-                return True
-        failed.add(state)
-        return False
+            yield i, (committed | (1 << i), next_writer)
 
     # init commits first and is the initial last-writer of every variable.
     init = matrix.index_of(INIT_TXN)
-    initial_writer = tuple(init for _ in range(num_vars))
-    return search(1 << init, initial_writer)
+    root = (1 << init, tuple(init for _ in range(num_vars)))
+    return first_path(root, (init,), placements, lambda state: state[0] == full)
+
+
+def recheck_ser(order: Sequence[int], summaries: DenseSummaries) -> bool:
+    """Whether committing in ``order`` passes the search's step conditions.
+
+    ``order`` lists row indices of ``summaries``; the rows it leaves out
+    must be the last ones (transactions begun after the order was found),
+    and they commit after it, in row order.  Each transaction must find
+    its ``so ∪ wr`` ancestors committed and read every external read from
+    the last writer of the variable committed before it, and every row
+    must commit exactly once.  One pass: O(transactions + reads).
+    """
+    ancestors, reads_of, writes_of, _write_mask, num_vars = summaries
+    committed = 0
+    last_writer = [-1] * num_vars
+    for i in chain(order, range(len(order), len(ancestors))):
+        if committed >> i & 1 or ancestors[i] & ~committed:
+            return False
+        for var, src in reads_of[i]:
+            if last_writer[var] != src:
+                return False
+        for var in writes_of[i]:
+            last_writer[var] = i
+        committed |= 1 << i
+    return committed == (1 << len(ancestors)) - 1

@@ -130,6 +130,21 @@ class LiveSummaries:
         self._writes = [self._writes[old] for old in keep]
         self._masks = [self._masks[old] for old in keep]
 
+    def view(self, matrix: RelationMatrix) -> DenseSummaries:
+        """The current summaries, read in place: no list is copied.
+
+        ``matrix`` must be over the same rows.  Valid only until the next
+        event changes the summaries or the matrix; the online checker
+        re-checks its witnesses on it.
+        """
+        return DenseSummaries(
+            ancestors=matrix.ancestor_rows,
+            reads_of=self._reads,
+            writes_of=self._writes,
+            write_mask=self._masks,
+            num_vars=len(self._var_index),
+        )
+
     def snapshot(self, matrix: RelationMatrix) -> DenseSummaries:
         """The current summaries, with ``matrix``'s ancestor masks.
 
@@ -138,7 +153,7 @@ class LiveSummaries:
         not change a snapshot already seeded onto a history.
         """
         return DenseSummaries(
-            ancestors=list(matrix.closure_rows()[2]),
+            ancestors=list(matrix.ancestor_rows),
             reads_of=list(self._reads),
             writes_of=list(self._writes),
             write_mask=list(self._masks),

@@ -16,12 +16,14 @@ import pytest
 from helpers import PAPER_PROGRAMS
 from repro.apps.workloads import record_workload_trace
 from repro.checking.online import DEFAULT_LEVELS, OnlineChecker, OnlineStep, check_trace
-from repro.core import HistoryBuilder, RelationMatrix, TxnId
+from repro.core import INIT_TXN, HistoryBuilder, RelationMatrix, TxnId
 from repro.dpor import explore_ce
 from repro.engine.harness import run_program, workload_program
 from repro.engine.mvcc import get_engine_config
-from repro.isolation import IncrementalSaturation, get_level
+from repro.isolation import AXIOMS_BY_LEVEL, IncrementalSaturation, get_level
+from repro.isolation.axioms import axioms_hold
 from repro.isolation.registry import _SpecLevel
+from repro.isolation.snapshot import schedule_commit_order
 from repro.isolation.summaries import dense_summaries
 from repro.monitor import Monitor, MonitorConfig
 from repro.trace import Trace, TraceEvent, TraceFormatError, fuzz_history, gadget_traces
@@ -30,6 +32,9 @@ LEVELS = DEFAULT_LEVELS
 
 #: The levels the online checker decides by search rather than saturation.
 SEARCH_LEVELS = ("BS-3", "PSI", "PC", "SI", "SER")
+
+#: The search levels that keep a witness and re-check it before searching.
+WITNESS_LEVELS = ("PC", "SI", "SER")
 
 
 def batch_verdicts(trace, length):
@@ -306,27 +311,82 @@ def feed_counting(checker, event, calls):
     return step, {name: ran[name] for name in SEARCH_LEVELS if name in checker.levels}
 
 
+def placed_last(witness, level, begun):
+    """``witness`` with the transactions of ``begun`` (in begin order) that
+    it does not place appended, as the re-check places them: once in a
+    commit order, start-then-commit in a schedule."""
+    placed = set(witness)
+    times = 1 if level == "SER" else 2
+    return tuple(witness) + tuple(t for t in begun if t not in placed for _ in range(times))
+
+
+def certified(prefix, level, witness):
+    """Whether ``witness``'s commit order extends so ∪ wr on ``prefix`` and
+    passes ``level``'s axioms (Def. 2.2)."""
+    order = tuple(witness) if level == "SER" else schedule_commit_order(witness)
+    position = {tid: i for i, tid in enumerate(order)}
+    if set(position) != set(prefix.txns) or len(position) != len(order):
+        return False
+    pairs = list(prefix.so_pairs()) + list(prefix.wr_pairs())
+    if any(position[a] >= position[b] for a, b in pairs if a != b):
+        return False
+    return axioms_hold(prefix, order, AXIOMS_BY_LEVEL[level])
+
+
 class TestSkipRules:
-    """A search level searches only on events that can change its verdict:
+    """A search level decides only on events that can change its verdict:
     an external read, a first write or a writer's abort — and, once the
-    level is violated, only a writer's abort."""
+    level is violated, only a writer's abort.  On such an event SER, SI
+    and PC first re-check the witness of their last search, with the
+    transactions begun since placed last; they search only when that fails
+    (or there is none).  PSI and BS-3 search every time."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_searches_per_event_kind(self, seed, search_calls):
         trace = Trace.from_history(fuzz_history(seed, abort_rate=0.25), name=f"fuzz{seed}")
         checker = OnlineChecker.from_trace(trace, levels=("RC",) + SEARCH_LEVELS)
         wrote = {}
+        begun = [INIT_TXN]
+        rechecked = searched = 0
         for index, event in enumerate(trace.events):
             kind = event_kind(event, wrote)
+            if event.op == "begin":
+                begun.append(event.tid)
             previous = checker.verdicts
+            witnesses = {name: checker.witness(name) for name in WITNESS_LEVELS}
             step, ran = feed_counting(checker, event, search_calls)
-            for name, count in ran.items():
-                skipped = kind in INERT_KINDS or (not previous[name] and kind != "writer abort")
-                assert count == (0 if skipped else 1), (index, kind, name, previous[name])
             prefix = trace.prefix(index + 1).to_history(strict=False)
             assert step.verdicts == {
                 name: get_level(name).satisfies(prefix) for name in checker.levels
             }, (index, event)
+            for name, count in ran.items():
+                context = (index, kind, name, previous[name])
+                skipped = kind in INERT_KINDS or (not previous[name] and kind != "writer abort")
+                witness = witnesses.get(name)
+                if skipped:
+                    assert count == 0, context
+                elif witness is None:
+                    assert count == 1, context
+                    searched += 1
+                else:
+                    holds = certified(prefix, name, placed_last(witness, name, begun))
+                    if name == "SER":
+                        # The re-check is exactly the certificate check.
+                        assert count == (0 if holds else 1), context
+                    else:
+                        # A schedule fixes start points too: a certified
+                        # commit order may still need a search.
+                        assert count == 1 or holds, context
+                    rechecked += count == 0
+                    searched += count
+                # The kept witness certifies the new prefix.
+                kept = checker.witness(name) if name in WITNESS_LEVELS else None
+                if kept is not None:
+                    assert step.verdicts[name], context
+                    assert certified(prefix, name, placed_last(kept, name, begun)), context
+                elif name in WITNESS_LEVELS and count:
+                    assert not step.verdicts[name], context
+        assert rechecked and searched
 
     def test_corpus_covers_every_kind(self):
         seen = set()
@@ -361,24 +421,30 @@ class TestSkipRules:
         assert first is not None and first.index == 21
 
 
-def evicting_stream(seed, transactions=80, sessions=3, empty=0.4, aborts=0.15):
+def evicting_stream(seed, transactions=80, sessions=3, empty=0.4, aborts=0.15, early=0.3):
     """A serial stream whose empty transactions search levels may evict.
 
     Transactions run one at a time, reading the latest committed value, so
-    every level holds throughout and the monitor keeps collecting.
+    every level holds throughout and the monitor keeps collecting.  With
+    probability ``early`` a transaction begins just before its predecessor
+    in the stream (of another session) runs, so begin order is not commit
+    order: a witness with the new transactions placed last in begin order
+    can fail, and the witness levels search again over every live
+    transaction.
     """
     rng = random.Random(seed)
     variables = ("x", "y")
     latest = {var: (["__init__", 0], 0) for var in variables}
     begun = [0] * sessions
-    records = []
+    chunks = []
     for _ in range(transactions):
         s = rng.randrange(sessions)
         name, txn = f"s{s}", begun[s]
         begun[s] += 1
+        chunk = []
 
         def rec(op, **extra):
-            records.append({"type": op, "session": name, "txn": txn, **extra})
+            chunk.append({"type": op, "session": name, "txn": txn, **extra})
 
         rec("begin")
         wrote = {}
@@ -400,6 +466,18 @@ def evicting_stream(seed, transactions=80, sessions=3, empty=0.4, aborts=0.15):
             rec("commit")
             for var, value in wrote.items():
                 latest[var] = ([name, txn], value)
+        chunks.append(chunk)
+    # Never move two neighbours: a moved begin must follow its session's
+    # previous transaction, which ended before the predecessor began.
+    moved = [False] * len(chunks)
+    for k in range(1, len(chunks)):
+        other_session = chunks[k][0]["session"] != chunks[k - 1][0]["session"]
+        moved[k] = other_session and not moved[k - 1] and rng.random() < early
+    records = []
+    for k, chunk in enumerate(chunks):
+        if k + 1 < len(chunks) and moved[k + 1]:
+            records.append(chunks[k + 1][0])
+        records.extend(chunk[1:] if moved[k] else chunk)
     return Trace.from_records(records, variables=variables, name=f"evicting{seed}")
 
 
@@ -443,15 +521,45 @@ class TestMaintainedSummaries:
         assert checker.history().adopted_summaries() is None
 
     @pytest.mark.parametrize("level", ("SER", "SI", "PSI", "BS-3"))
-    def test_evicting_stream(self, level):
+    def test_evicting_stream(self, level, search_calls, monkeypatch):
+        """SER and SI keep deciding by their witness right after an
+        eviction drops some of its transactions."""
         trace = evicting_stream(0)
         monitor = Monitor(
             trace.header, MonitorConfig(isolation=level, window=1, gc_every=1, evict_batch=1)
         )
+        checker = monitor.checker
+        evict = checker.evict
+        dropped = []
+
+        def evicting(tids):
+            before = len(checker.witness(level) or ())
+            count = evict(tids)
+            dropped.append(before - len(checker.witness(level) or ()))
+            return count
+
+        monkeypatch.setattr(checker, "evict", evicting)
+        wrote = {}
+        after_drop = False
+        decided_after_drop = 0
         for event in trace.events:
+            kind = event_kind(event, wrote)
+            before = search_calls[level]
             assert monitor.feed(event).verdicts[level]
-            assert_summaries_maintained(monitor.checker)
-        assert monitor.checker.evicted_count > 0
+            assert_summaries_maintained(checker)
+            if after_drop and kind not in INERT_KINDS:
+                decided_after_drop += search_calls[level] == before
+                after_drop = False
+            after_drop = after_drop or any(dropped)
+            dropped.clear()
+            witness = checker.witness(level)
+            if witness is not None:
+                assert all(checker.replayer.is_live(tid) for tid in witness)
+        assert checker.evicted_count > 0
+        if level in WITNESS_LEVELS:
+            assert decided_after_drop > 0
+        else:
+            assert decided_after_drop == 0
 
     def test_evicting_a_source_drops_its_reads(self):
         """Eviction drops the wr entries of reads whose source left, and the
