@@ -34,9 +34,9 @@ What is incremental
   ``History.adopt_summaries``: a ``begin`` appends a row, an external read
   its ``(variable, source)``, a first write its variable, a writer's abort
   clears the writes and keeps the reads, and :meth:`OnlineChecker.evict`
-  compacts the rows as the matrix does).  SER, SI and PC re-check the
-  witness of their last search first, and most events never search (see
-  below).  Without a search level nothing of this is kept.
+  compacts the rows as the matrix does).  SER, SI and PC first re-check
+  their witness, at the event's own transaction, and most events never
+  search (see below).  Without a search level nothing of this is kept.
 
 Which camp a level falls in is read off its
 :class:`~repro.isolation.registry.LevelSpec`, so spec-registered
@@ -61,25 +61,28 @@ read, a first write or a writer's abort, and on a violated prefix-closed
 level only on a writer's abort.
 
 On such an event SER, SI and PC first re-check a witness.  Def. 2.2 is
-existential, so the path a successful search took certifies its verdict:
-a commit order for SER, a start/commit schedule for SI and PC.  The
-checker keeps the last one per level (:meth:`OnlineChecker.witness`),
-keyed by :class:`~repro.core.events.TxnId`; eviction drops transactions
-from it and a violated verdict drops it.  The re-check re-runs the
-search's own step conditions along it, with the transactions begun since
-placed last in begin order (for SI/PC, start-then-commit), in one pass
-over the matrix's ancestor rows and the summaries' rows: no history is
-built and nothing is copied.  Each transaction needs its ``so ∪ wr``
-ancestors placed (for SI/PC: committed) before it; each external read's
-source must be the last visible writer of its variable placed (for SI/PC:
-committed) before it (before it starts); every live transaction appears
-exactly once; and for SI no two writers of a common variable overlap.  A
-passing re-check is a witness for exactly the state the search would
-see, so the verdict is the search's.  Only a failing re-check, or no
-witness, searches, and that search's witness (cached on the history it
-ran on, so it costs no second search) replaces the old one.  Which levels
-keep a witness, and how it is re-checked, is read off
-``LevelSpec.witness``.  PSI and BS-3 search every time.
+existential, so the path a successful search took certifies its verdict: a
+commit order for SER, a start/commit schedule for SI and PC.  The checker
+keeps it per level as a placement on the maintained matrix's rows
+(``LevelSpec.witness`` names how to build one), with the transactions
+begun since placed last in begin order (for SI/PC start-then-commit);
+:meth:`OnlineChecker.witness` reads it as transaction ids.  Before the
+event the placement passes the search's step conditions, and the event
+changes one transaction's reads or write set, so it is re-checked at that
+transaction alone, with one ``bisect`` and one dict lookup.  An external
+read of ``x`` by ``t`` from ``s`` holds iff ``s`` is the last writer of
+``x`` placed (for SI/PC: committed) before ``t`` (before ``t`` starts).  A
+first write of ``x`` by ``t`` holds iff no reader of ``x`` from the last
+writer placed (committed) before ``t`` sits after ``t`` (starts after
+``t`` commits); for SI ``t`` must also not overlap that writer or the next
+one.  A writer's abort, an eviction and a fresh search witness instead
+re-run the search's step conditions in one pass over the matrix's ancestor
+rows and the summaries' rows, which builds the placement: no history is
+built and nothing is copied.  A passing re-check is a witness for exactly
+the state the search would see, so the verdict is the search's.  Only a
+failing re-check, or no witness, searches, and that search's witness
+(cached on the history it ran on, so it costs no second search) replaces
+the old one; a violated verdict drops it.  PSI and BS-3 search every time.
 
 The abort exception
 -------------------
@@ -96,13 +99,13 @@ re-close); write-free aborts don't touch the states at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.bitrel import RelationMatrix
 from ..core.events import INIT_TXN, Event, TxnId
 from ..core.history import History
 from ..isolation.base import IsolationLevel, get_level
-from ..isolation.registry import LevelSpec, WitnessCheck, level_spec
+from ..isolation.registry import LevelSpec, Placement, WitnessCheck, level_spec
 from ..isolation.saturation import IncrementalSaturation
 from ..isolation.summaries import LiveSummaries
 from ..trace.format import Trace, TraceEvent, TraceHeader, TraceReplayer
@@ -111,6 +114,11 @@ from ..trace.format import Trace, TraceEvent, TraceHeader, TraceReplayer
 #: paper's chain; any registered level name is accepted — ``repro levels``
 #: lists them all).
 DEFAULT_LEVELS: Tuple[str, ...] = ("RC", "RA", "CC", "SI", "SER")
+
+#: :meth:`OnlineChecker.replay` prunes settled readers once the un-pruned
+#: reads-of-var entries reach twice what the last prune left, and at least
+#: this many.
+PRUNE_FLOOR = 64
 
 
 def _saturation_eligible(spec: LevelSpec) -> bool:
@@ -279,8 +287,9 @@ class OnlineChecker:
             for name in search
             if level_spec(name).witness is not None
         }
-        #: Level → the witness of its last search, while that level holds.
-        self._witnesses: Dict[str, Tuple[TxnId, ...]] = {}
+        #: Level → its witness as a placement on ``_causal``'s rows, while
+        #: that level holds.
+        self._placements: Dict[str, Placement] = {}
         #: The searches' per-transaction summaries, on ``_causal``'s rows;
         #: kept only when some level searches.
         self._summaries: Optional[LiveSummaries] = (
@@ -331,6 +340,9 @@ class OnlineChecker:
         # violation); see the module docstring.
         inert = True
         retracts = False
+        # The re-check of a kept witness at the event's own transaction;
+        # None after a writer's abort, which re-checks it in one pass.
+        recheck: Optional[Callable[[Placement], bool]] = None
         if event.op == "begin":
             order = self._replayer.session_order(tid.session)
             prev = order[-2] if len(order) > 1 else INIT_TXN
@@ -353,7 +365,9 @@ class OnlineChecker:
                 state.external_read(facts, added, source, writers, prior)
             if summaries is not None:
                 index = self._causal.index_of
-                summaries.external_read(index(tid), event.var, index(source))
+                reader, src = index(tid), index(source)
+                var = summaries.external_read(reader, event.var, src)
+                recheck = lambda placement: placement.external_read(reader, var, src)
         elif event.op == "write":
             writers = self._writers_of_var.setdefault(event.var, [])
             if tid not in writers:
@@ -363,7 +377,9 @@ class OnlineChecker:
                 for state in states:
                     state.first_write(facts, tid, reads)
                 if summaries is not None:
-                    summaries.first_write(self._causal.index_of(tid), event.var)
+                    row = self._causal.index_of(tid)
+                    var = summaries.first_write(row, event.var)
+                    recheck = lambda placement: placement.first_write(row, var)
         elif event.op == "abort" and self._replayer.wrote_any(tid):
             inert = False
             retracts = True
@@ -385,14 +401,14 @@ class OnlineChecker:
                 verdicts[name] = base_acyclic and self._saturation[name].consistent
             elif not base_acyclic:
                 verdicts[name] = False
-                self._witnesses.pop(name, None)
+                self._placements.pop(name, None)
             elif inert:
                 verdicts[name] = previous.get(name, True)
             elif not (retracts or previous.get(name, True)) and name in self._prefix_closed:
                 # The old history is a prefix of the new one: still violated.
                 verdicts[name] = False
             else:
-                verdicts[name] = self._decide(name)
+                verdicts[name] = self._decide(name, recheck)
         newly = tuple(
             name for name in self.levels if not verdicts[name] and previous.get(name, True)
         )
@@ -407,32 +423,61 @@ class OnlineChecker:
             self._steps.append(step)
         return step
 
-    def _decide(self, name: str) -> bool:
+    def _decide(self, name: str, recheck: Optional[Callable[[Placement], bool]]) -> bool:
         """Decide search level ``name`` on the current prefix.
 
-        Re-check the level's last witness first, on the maintained matrix
-        and summaries; only when that fails, or there is none, run the
-        batch check (SI/SER/PSI/PC/BS-3 or any spec-registered extension)
-        on the prefix history, which adopts the maintained matrix and
-        summaries.  Its witness replaces the old one; a violation drops it.
+        Re-check the level's kept witness first, with the transactions
+        begun since placed last: at the event's own transaction
+        (``recheck``), or in one pass over the maintained matrix and
+        summaries after a writer's abort (``recheck`` None).  Only when
+        that fails, or there is none, run the batch check (SI/SER/PSI/PC/
+        BS-3 or any spec-registered extension) on the prefix history, which
+        adopts the maintained matrix and summaries.  Its witness, placed in
+        one pass, replaces the old one; a violation drops it.
         """
         check = self._witness_checks.get(name)
-        witness = self._witnesses.pop(name, None)
-        if witness is not None:
-            index = self._causal.index_of
-            rows = [index(tid) for tid in witness]
-            if check.recheck(rows, self._summaries.view(self._causal)):
-                self._witnesses[name] = witness
+        placement = self._placements.pop(name, None)
+        if placement is not None:
+            placement.grow(len(self._causal))
+            if recheck is None:
+                placement = check.place(placement.rows(), self._summaries.view(self._causal))
+            elif not recheck(placement):
+                placement = None
+            if placement is not None:
+                self._placements[name] = placement
                 return True
         history = self.history()
         holds = get_level(name).satisfies(history)
         if holds and check is not None:
-            self._witnesses[name] = check.find(history)
+            placement = check.place(check.path(history), self._summaries.view(self._causal))
+            if placement is not None:
+                self._placements[name] = placement
         return holds
 
     def replay(self, trace: Trace) -> List[OnlineStep]:
-        """Feed every event of ``trace``; returns one step per event."""
-        return [self.feed(event) for event in trace.events]
+        """Feed every event of ``trace``; returns one step per event.
+
+        Settled readers are pruned (:meth:`prune_settled`) whenever the
+        un-pruned reads-of-var entries reach twice what the last prune
+        left, and at least :data:`PRUNE_FLOOR`: amortised O(1) per event,
+        and it bounds the pending premises each external read re-checks.
+        """
+        steps = []
+        unpruned = self._unpruned_reads()
+        threshold = max(PRUNE_FLOOR, 2 * unpruned)
+        for event in trace.events:
+            steps.append(self.feed(event))
+            if event.op == "read" and not event.local:
+                unpruned += 1
+                if unpruned >= threshold:
+                    self.prune_settled()
+                    unpruned = self._unpruned_reads()
+                    threshold = max(PRUNE_FLOOR, 2 * unpruned)
+        return steps
+
+    def _unpruned_reads(self) -> int:
+        """The reads-of-var entries :meth:`prune_settled` has not dropped."""
+        return sum(len(reads) for reads in self._reads_of_var.values())
 
     # -- garbage collection (streaming-monitor mechanism) -----------------------
 
@@ -517,11 +562,13 @@ class OnlineChecker:
             if order and order[-1] == tid:
                 raise ValueError(f"cannot evict session-latest transaction {tid!r}")
         self._replayer.forget(drop)
-        if self._summaries is not None:
-            self._summaries.evict(
-                [i for i, tid in enumerate(self._causal.nodes) if tid not in drop]
-            )
+        nodes = self._causal.nodes
         self._causal = self._causal.remove_nodes(drop)
+        if self._summaries is not None:
+            keep = [i for i, tid in enumerate(nodes) if tid not in drop]
+            self._summaries.evict(keep)
+            if self._placements:
+                self._compact_placements(keep)
         for state in self._saturation.values():
             state.evict(drop)
         for var, reads in list(self._reads_of_var.items()):
@@ -535,11 +582,23 @@ class OnlineChecker:
                 writers[:] = [t for t in writers if t not in drop]
         for tid in drop:
             self._sources_read.pop(tid, None)
-        for name, witness in self._witnesses.items():
-            self._witnesses[name] = tuple(tid for tid in witness if tid not in drop)
         self._history = None
         self._evicted += len(drop)
         return len(drop)
+
+    def _compact_placements(self, keep: List[int]) -> None:
+        """Re-place every kept witness on the rows ``keep`` (old indices,
+        ascending) that survived an eviction, in one pass each.  Dropping
+        transactions keeps the step conditions, so each still passes."""
+        new_row = {old: new for new, old in enumerate(keep)}
+        view = self._summaries.view(self._causal)
+        for name, placement in list(self._placements.items()):
+            rows = [new_row[row] for row in placement.rows() if row in new_row]
+            placement = self._witness_checks[name].place(rows, view)
+            if placement is None:
+                del self._placements[name]
+            else:
+                self._placements[name] = placement
 
     def prune_settled(self) -> int:
         """Drop bookkeeping that settled, complete readers can never re-arm.
@@ -626,17 +685,22 @@ class OnlineChecker:
         return tuple(self._steps)
 
     def witness(self, level: str) -> Optional[Tuple[TxnId, ...]]:
-        """The witness of ``level``'s last search, while the level holds.
+        """The witness ``level`` keeps, while the level holds.
 
         A commit order for SER, a start/commit schedule for SI and PC (see
-        :func:`~repro.isolation.snapshot.si_witness`); None for a level
-        that keeps no witness, before its first search and while it is
-        violated.  Evicted transactions are dropped from it, and
-        transactions begun since that search are not in it: a re-check
-        places them last, in begin order.
+        :func:`~repro.isolation.snapshot.si_witness`), over every live
+        transaction: the last search's witness, with the transactions
+        begun since placed last in begin order and evicted ones dropped.
+        None for a level that keeps no witness, before its first search
+        and while it is violated.
         """
         name = self._checked(level)
-        return self._witnesses.get(name)
+        placement = self._placements.get(name)
+        if placement is None:
+            return None
+        placement.grow(len(self._causal))
+        nodes = self._causal.nodes
+        return tuple(nodes[row] for row in placement.rows())
 
     def first_violation(self, level: str) -> Optional[OnlineStep]:
         """The step at which ``level`` first flipped to violated, if any."""

@@ -30,9 +30,8 @@ Eviction rules (consumed by :mod:`repro.isolation.liveness`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
-from ..core.events import TxnId
 from ..core.history import History
 from .axioms import Axiom, OrderPredicate
 from .base import IsolationLevel, add_aliases, get_level, record_lattice, register
@@ -42,24 +41,50 @@ from .summaries import DenseSummaries
 EVICTION_RULES = ("fresh", "writers", "inert")
 
 
+class Placement(Protocol):
+    """A witness the online checker keeps, in row indices of its matrix.
+
+    Once a witness passes the search's step conditions, appending an event
+    can only break them at the transaction the event touches, so each
+    external read or first write is re-checked there alone.
+    """
+
+    def rows(self) -> Sequence[int]:
+        """The witness, in row indices."""
+
+    def grow(self, rows: int) -> None:
+        """Place the rows below ``rows`` that are not placed yet last, in
+        row (begin) order."""
+
+    def external_read(self, reader: int, var: int, source: int) -> bool:
+        """Whether the witness still passes once row ``reader`` reads the
+        variable with index ``var`` from row ``source``; records it if so."""
+
+    def first_write(self, writer: int, var: int) -> bool:
+        """Whether the witness still passes once row ``writer`` first
+        writes the variable with index ``var``; records it if so."""
+
+
 @dataclass(frozen=True)
 class WitnessCheck:
-    """A search level's witness, and the one-pass re-check of an old one.
+    """A search level's witness, and the one-pass re-check that places it.
 
     Def. 2.2 is existential, so the commit order (or schedule) a successful
     search finds certifies the verdict, and re-running the search's step
-    conditions along it decides the same history in one pass.  The online
-    checker re-checks its last witness before it searches again.
+    conditions along it decides the same history in one pass.  That pass
+    also returns the witness as a :class:`Placement`, which the online
+    checker keeps and re-checks per event.
     """
 
-    #: The witness the level's ``check`` found on a history, as transaction
-    #: ids (cached on the history by that check: no second search), or
-    #: None when it found none.
-    find: Callable[[History], Optional[Tuple[TxnId, ...]]]
-    #: ``recheck(rows, summaries)``: whether the search's step conditions
-    #: hold along a witness given in row indices of ``summaries``, with
-    #: the rows it leaves out (the last ones) placed after it in row order.
-    recheck: Callable[[Sequence[int], DenseSummaries], bool]
+    #: The witness the level's ``check`` found on a history, in row
+    #: indices of its ``causal_matrix()`` (cached on the history by that
+    #: check: no second search), or None when it found none.
+    path: Callable[[History], Optional[Sequence[int]]]
+    #: ``place(rows, summaries)``: the witness given in row indices of
+    #: ``summaries`` as a placement, with the rows it leaves out (the last
+    #: ones) placed after it in row order, when the search's step
+    #: conditions hold along it; None otherwise.
+    place: Callable[[Sequence[int], DenseSummaries], Optional[Placement]]
 
 
 @dataclass(frozen=True)
@@ -110,8 +135,9 @@ class LevelSpec:
     #: Monitor eviction rule: ``"fresh"`` | ``"writers"`` | ``"inert"``.
     eviction: str = "inert"
     #: The search's witness and its re-check, for levels whose ``check``
-    #: keeps one (SER, SI, PC); the online checker then re-checks its last
-    #: witness before searching.  None: it searches every time.
+    #: keeps one (SER, SI, PC); the online checker then keeps the witness
+    #: and re-checks it per event before searching.  None: it searches
+    #: every time.
     witness: Optional[WitnessCheck] = None
 
     def derived_causal_extensibility(self) -> bool:

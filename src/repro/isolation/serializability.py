@@ -31,15 +31,19 @@ coincide).  No per-check adjacency or predecessor map is rebuilt.
 The search is iterative (:func:`~repro.isolation.search.first_path`), and
 the path it took is its witness: a commit order, cached on the history
 (``History.witnesses``) so that :func:`ser_witness` after
-:func:`satisfies_ser` searches once.  :func:`recheck_ser` re-runs the
-search's step conditions along a given order, in one pass — what the
-online checker does with its last witness before it searches again.
+:func:`satisfies_ser` searches once.  :func:`place_ser` re-runs the
+search's step conditions along a given order, in one pass, and returns the
+order as a :class:`SerPlacement`, which the online checker keeps: once an
+order passes, an event can only break the conditions at the transaction it
+touches, so the placement re-checks each event there, with one ``bisect``
+and one dict lookup.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.events import INIT_TXN, TxnId
 from ..core.history import History
@@ -54,7 +58,7 @@ def satisfies_ser(history: History) -> bool:
     the ``so ∪ wr`` closure (the online checker) seed it via
     ``History.adopt_causal_matrix`` so no from-scratch build happens here.
     """
-    return _commit_order(history) is not None
+    return ser_path(history) is not None
 
 
 def ser_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
@@ -63,11 +67,12 @@ def ser_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
     Every transaction appears once, ``init`` first.  The order extends
     ``so ∪ wr`` and passes the SER axiom (``axioms.axioms_hold``).
     """
-    return path_transactions(history, _commit_order(history))
+    return path_transactions(history, ser_path(history))
 
 
-def _commit_order(history: History) -> Optional[List[int]]:
-    """The search's commit order in row indices, searched once per history."""
+def ser_path(history: History) -> Optional[List[int]]:
+    """The search's commit order in row indices of ``history.causal_matrix()``,
+    or None; searched once per history."""
     witnesses = history.witnesses()
     if "SER" not in witnesses:
         witnesses["SER"] = _search(history)
@@ -108,7 +113,14 @@ def _search(history: History) -> Optional[List[int]]:
 
 
 def recheck_ser(order: Sequence[int], summaries: DenseSummaries) -> bool:
-    """Whether committing in ``order`` passes the search's step conditions.
+    """Whether committing in ``order`` passes the search's step conditions
+    (:func:`place_ser`)."""
+    return place_ser(order, summaries) is not None
+
+
+def place_ser(order: Sequence[int], summaries: DenseSummaries) -> Optional["SerPlacement"]:
+    """The placement of committing in ``order``, if that passes the
+    search's step conditions; None otherwise.
 
     ``order`` lists row indices of ``summaries``; the rows it leaves out
     must be the last ones (transactions begun after the order was found),
@@ -118,15 +130,99 @@ def recheck_ser(order: Sequence[int], summaries: DenseSummaries) -> bool:
     must commit exactly once.  One pass: O(transactions + reads).
     """
     ancestors, reads_of, writes_of, _write_mask, num_vars = summaries
-    committed = 0
+    n = len(ancestors)
+    order = list(chain(order, range(len(order), n)))
+    pos = [0] * n
+    writers: List[List[int]] = [[] for _ in range(num_vars)]
+    readers: List[Dict[int, int]] = [{} for _ in range(num_vars)]
     last_writer = [-1] * num_vars
-    for i in chain(order, range(len(order), len(ancestors))):
+    committed = 0
+    for at, i in enumerate(order):
         if committed >> i & 1 or ancestors[i] & ~committed:
-            return False
+            return None
         for var, src in reads_of[i]:
             if last_writer[var] != src:
-                return False
+                return None
+            readers[var][pos[src]] = at
         for var in writes_of[i]:
             last_writer[var] = i
+            writers[var].append(at)
+        pos[i] = at
         committed |= 1 << i
-    return committed == (1 << len(ancestors)) - 1
+    if committed != (1 << n) - 1:
+        return None
+    return SerPlacement(order, pos, writers, readers)
+
+
+class SerPlacement:
+    """A commit order that passes the search's step conditions, kept so
+    that an event is re-checked at its own transaction only.
+
+    ``order`` lists the rows in commit order and ``pos[row]`` is a row's
+    position in it.  Per variable index, ``writers[var]`` holds the sorted
+    positions of its visible writers, and ``readers[var]`` maps a writer's
+    position to the latest position of a transaction that reads the
+    variable from it.  Built by :func:`place_ser`; a step that returns
+    False leaves it unchanged.
+    """
+
+    __slots__ = ("order", "pos", "writers", "readers")
+
+    def __init__(
+        self,
+        order: List[int],
+        pos: List[int],
+        writers: List[List[int]],
+        readers: List[Dict[int, int]],
+    ):
+        self.order = order
+        self.pos = pos
+        self.writers = writers
+        self.readers = readers
+
+    def rows(self) -> List[int]:
+        """The commit order, in row indices."""
+        return self.order
+
+    def grow(self, rows: int) -> None:
+        """Commit the rows below ``rows`` that are not placed yet last, in
+        row (begin) order."""
+        order, pos = self.order, self.pos
+        for row in range(len(pos), rows):
+            pos.append(len(order))
+            order.append(row)
+
+    def external_read(self, reader: int, var: int, source: int) -> bool:
+        """Whether the order still passes once ``reader`` reads ``var`` from
+        ``source``; records the read if so.
+
+        The new wr edge gives ``reader`` and its descendants the ancestors
+        of ``source``, which all commit before ``source``.  So the order
+        passes iff ``source`` is the last writer of ``var`` committed
+        before ``reader``, which also puts it before ``reader``.
+        """
+        at, src = self.pos[reader], self.pos[source]
+        writers = self.writers[var]
+        if writers[bisect_left(writers, at) - 1] != src:
+            return False
+        readers = self.readers[var]
+        if readers.get(src, -1) < at:
+            readers[src] = at
+        return True
+
+    def first_write(self, writer: int, var: int) -> bool:
+        """Whether the order still passes once ``writer`` first writes
+        ``var``; records the write if so.
+
+        Only the readers of ``var`` from the last writer before ``writer``
+        can change their last writer, so the order passes iff none of them
+        commits after ``writer``.  The writer's own earlier read of ``var``
+        stays valid: a transaction's reads come before its writes.
+        """
+        at = self.pos[writer]
+        writers = self.writers[var]
+        k = bisect_left(writers, at)
+        if self.readers[var].get(writers[k - 1], -1) > at:
+            return False
+        writers.insert(k, at)
+        return True

@@ -42,15 +42,17 @@ transaction appears twice, first where it starts and then where it
 commits.  The schedule is cached on the history (``History.witnesses``),
 so :func:`si_witness` after :func:`satisfies_si` searches once, and
 :func:`schedule_commit_order` reads the commit order off it.
-:func:`recheck_si` and :func:`recheck_pc` re-run the search's step
-conditions along a given schedule, in one pass — what the online checker
-does with its last witness before it searches again.
+:func:`place_si` and :func:`place_pc` re-run the search's step conditions
+along a given schedule, in one pass, and return it as a
+:class:`SchedulePlacement`, which the online checker keeps and re-checks
+each event against at the event's own transaction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bitrel import iter_bits
 from ..core.events import INIT_TXN, TxnId
@@ -66,12 +68,12 @@ def satisfies_si(history: History) -> bool:
     the ``so ∪ wr`` closure (the online checker) seed it via
     ``History.adopt_causal_matrix`` so no from-scratch build happens here.
     """
-    return _schedule(history, first_committer_wins=True) is not None
+    return si_path(history) is not None
 
 
 def satisfies_pc(history: History) -> bool:
     """Whether ``history`` satisfies Prefix Consistency (SI minus Conflict)."""
-    return _schedule(history, first_committer_wins=False) is not None
+    return pc_path(history) is not None
 
 
 def si_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
@@ -82,7 +84,7 @@ def si_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
     (:func:`schedule_commit_order`) extends ``so ∪ wr`` and passes the SI
     axioms (``axioms.axioms_hold``).
     """
-    return path_transactions(history, _schedule(history, first_committer_wins=True))
+    return path_transactions(history, si_path(history))
 
 
 def pc_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
@@ -90,7 +92,7 @@ def pc_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
 
     Shaped as :func:`si_witness`'s; writers of a common variable may overlap.
     """
-    return path_transactions(history, _schedule(history, first_committer_wins=False))
+    return path_transactions(history, pc_path(history))
 
 
 def schedule_commit_order(schedule: Sequence[TxnId]) -> Tuple[TxnId, ...]:
@@ -103,6 +105,17 @@ def schedule_commit_order(schedule: Sequence[TxnId]) -> Tuple[TxnId, ...]:
         else:
             started.add(tid)
     return tuple(order)
+
+
+def si_path(history: History) -> Optional[List[int]]:
+    """The SI search's schedule in row indices of ``history.causal_matrix()``,
+    or None; searched once per history."""
+    return _schedule(history, first_committer_wins=True)
+
+
+def pc_path(history: History) -> Optional[List[int]]:
+    """The PC search's schedule in row indices, or None (see :func:`si_path`)."""
+    return _schedule(history, first_committer_wins=False)
 
 
 def _schedule(history: History, first_committer_wins: bool) -> Optional[List[int]]:
@@ -159,7 +172,20 @@ def _interval_search(history: History, first_committer_wins: bool) -> Optional[L
 
 
 def recheck_si(schedule: Sequence[int], summaries: DenseSummaries) -> bool:
-    """Whether the SI search's step conditions hold along ``schedule``.
+    """Whether the SI search's step conditions hold along ``schedule``
+    (:func:`place_si`)."""
+    return place_si(schedule, summaries) is not None
+
+
+def recheck_pc(schedule: Sequence[int], summaries: DenseSummaries) -> bool:
+    """Whether the PC search's step conditions hold along ``schedule``
+    (:func:`place_pc`)."""
+    return place_pc(schedule, summaries) is not None
+
+
+def place_si(schedule: Sequence[int], summaries: DenseSummaries) -> Optional["SchedulePlacement"]:
+    """The placement of ``schedule``, if the SI search's step conditions
+    hold along it; None otherwise.
 
     ``schedule`` lists row indices of ``summaries``, each row twice: its
     first occurrence starts the transaction and its second commits it.
@@ -171,44 +197,147 @@ def recheck_si(schedule: Sequence[int], summaries: DenseSummaries) -> bool:
     variable the starting one writes.  Every row must start and commit
     exactly once.  One pass: O(transactions + reads).
     """
-    return _recheck_schedule(schedule, summaries, first_committer_wins=True)
+    return _place_schedule(schedule, summaries, first_committer_wins=True)
 
 
-def recheck_pc(schedule: Sequence[int], summaries: DenseSummaries) -> bool:
-    """:func:`recheck_si` without first-committer-wins: the PC search's
-    step conditions along ``schedule``."""
-    return _recheck_schedule(schedule, summaries, first_committer_wins=False)
+def place_pc(schedule: Sequence[int], summaries: DenseSummaries) -> Optional["SchedulePlacement"]:
+    """:func:`place_si` without first-committer-wins: the PC search's step
+    conditions along ``schedule``."""
+    return _place_schedule(schedule, summaries, first_committer_wins=False)
 
 
-def _recheck_schedule(
+def _place_schedule(
     schedule: Sequence[int], summaries: DenseSummaries, first_committer_wins: bool
-) -> bool:
+) -> Optional["SchedulePlacement"]:
     """The interval search's step conditions along ``schedule``."""
     ancestors, reads_of, writes_of, write_mask, num_vars = summaries
     n = len(ancestors)
-    started = committed = active_writes = 0
-    last_writer = [-1] * num_vars
     later = range(len(schedule) // 2, n)
-    for i in chain(schedule, (i for i in later for _twice in (0, 1))):
+    schedule = list(chain(schedule, (i for i in later for _twice in (0, 1))))
+    start = [0] * n
+    commit = [0] * n
+    writers: List[List[int]] = [[] for _ in range(num_vars)]
+    readers: List[Dict[int, int]] = [{} for _ in range(num_vars)]
+    last_writer = [-1] * num_vars
+    started = committed = active_writes = 0
+    for at, i in enumerate(schedule):
         bit = 1 << i
         if not started & bit:
             if ancestors[i] & ~committed:
-                return False
+                return None
             for var, src in reads_of[i]:
                 if last_writer[var] != src:
-                    return False
+                    return None
+                readers[var][commit[src]] = at
             if first_committer_wins:
                 if write_mask[i] & active_writes:
-                    return False
+                    return None
                 # Active writers are pairwise disjoint, so a commit can
                 # clear its own bits from the union.
                 active_writes |= write_mask[i]
+            start[i] = at
             started |= bit
         elif not committed & bit:
             for var in writes_of[i]:
                 last_writer[var] = i
+                writers[var].append(at)
             active_writes &= ~write_mask[i]
+            commit[i] = at
             committed |= bit
         else:
+            return None
+    if committed != (1 << n) - 1:
+        return None
+    return SchedulePlacement(schedule, start, commit, writers, readers, first_committer_wins)
+
+
+class SchedulePlacement:
+    """A start/commit schedule that passes the interval search's step
+    conditions, kept so that an event is re-checked at its own transaction
+    only.
+
+    ``schedule`` lists the rows, each twice (start, then commit);
+    ``start[row]`` and ``commit[row]`` are a row's positions in it.  Per
+    variable index, ``writers[var]`` holds the sorted commit positions of
+    its visible writers, and ``readers[var]`` maps a writer's commit
+    position to the latest start of a transaction that reads the variable
+    from it.  Built by :func:`place_si` or :func:`place_pc`; a step that
+    returns False leaves it unchanged.
+    """
+
+    __slots__ = ("schedule", "start", "commit", "writers", "readers", "first_committer_wins")
+
+    def __init__(
+        self,
+        schedule: List[int],
+        start: List[int],
+        commit: List[int],
+        writers: List[List[int]],
+        readers: List[Dict[int, int]],
+        first_committer_wins: bool,
+    ):
+        self.schedule = schedule
+        self.start = start
+        self.commit = commit
+        self.writers = writers
+        self.readers = readers
+        self.first_committer_wins = first_committer_wins
+
+    def rows(self) -> List[int]:
+        """The schedule, in row indices."""
+        return self.schedule
+
+    def grow(self, rows: int) -> None:
+        """Start and commit the rows below ``rows`` that are not placed yet
+        last, in row (begin) order."""
+        schedule, start, commit = self.schedule, self.start, self.commit
+        for row in range(len(start), rows):
+            start.append(len(schedule))
+            commit.append(len(schedule) + 1)
+            schedule += (row, row)
+
+    def external_read(self, reader: int, var: int, source: int) -> bool:
+        """Whether the schedule still passes once ``reader`` reads ``var``
+        from ``source``; records the read if so.
+
+        The new wr edge gives ``reader`` and its descendants the ancestors
+        of ``source``, which all commit before ``source`` starts.  So the
+        schedule passes iff ``source`` is the last writer of ``var``
+        committed before ``reader`` starts, which also puts its commit
+        there.
+        """
+        at, src = self.start[reader], self.commit[source]
+        writers = self.writers[var]
+        if writers[bisect_left(writers, at) - 1] != src:
             return False
-    return committed == (1 << n) - 1
+        readers = self.readers[var]
+        if readers.get(src, -1) < at:
+            readers[src] = at
+        return True
+
+    def first_write(self, writer: int, var: int) -> bool:
+        """Whether the schedule still passes once ``writer`` first writes
+        ``var``; records the write if so.
+
+        Only the readers of ``var`` from the last writer committed before
+        ``writer`` can change their snapshot, so the schedule passes iff
+        none of them starts after ``writer`` commits.  For SI, ``writer``
+        must also not overlap the writers of ``var`` committed just before
+        and just after it.  Those two are enough: the writers of a common
+        variable have pairwise disjoint intervals, so their starts and
+        commits come in the same order.
+        """
+        at = self.commit[writer]
+        writers = self.writers[var]
+        k = bisect_left(writers, at)
+        before = writers[k - 1]
+        if self.readers[var].get(before, -1) > at:
+            return False
+        if self.first_committer_wins:
+            start = self.start
+            if before > start[writer]:
+                return False
+            if k < len(writers) and start[self.schedule[writers[k]]] < at:
+                return False
+        writers.insert(k, at)
+        return True

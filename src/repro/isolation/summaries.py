@@ -100,15 +100,20 @@ class LiveSummaries:
         self._writes.append(())
         self._masks.append(0)
 
-    def external_read(self, reader: int, var: str, source: int) -> None:
-        """Record an external read of ``var`` by row ``reader`` from row ``source``."""
-        self._reads[reader] += ((self._var_index[var], source),)
+    def external_read(self, reader: int, var: str, source: int) -> int:
+        """Record an external read of ``var`` by row ``reader`` from row
+        ``source``; returns the variable's index."""
+        v = self._var_index[var]
+        self._reads[reader] += ((v, source),)
+        return v
 
-    def first_write(self, writer: int, var: str) -> None:
-        """Record row ``writer``'s first write of ``var``."""
+    def first_write(self, writer: int, var: str) -> int:
+        """Record row ``writer``'s first write of ``var``; returns the
+        variable's index."""
         v = self._var_index[var]
         self._writes[writer] = tuple(sorted(self._writes[writer] + (v,)))
         self._masks[writer] |= 1 << v
+        return v
 
     def abort_writer(self, writer: int) -> None:
         """An aborted transaction hides its writes and keeps its reads."""

@@ -172,6 +172,11 @@ class Monitor:
         try:
             step = self.checker.feed(event)
         except EvictedTransactionError as err:
+            # Only assume-fresh eviction can drop a writer that a
+            # well-formed stream still names; in keep mode the event itself
+            # is at fault, and the trace error says so.
+            if self._fresh is None:
+                raise
             raise MonitorStaleReadError(
                 f"stream staleness exceeds the assume-fresh window "
                 f"(window={self.config.window}): {err}"

@@ -74,8 +74,17 @@ class EvictedTransactionError(TraceFormatError):
     transaction demonstrably *existed* (its session's begin counter has
     passed its index) but has been evicted via :meth:`TraceReplayer.forget`.
     The streaming monitor surfaces this as a stale read under the
-    ``assume-fresh`` retention mode; in ``keep`` mode it cannot occur.
+    ``assume-fresh`` retention mode.  In ``keep`` mode every visible
+    writer stays, so only an event that is malformed anyway (one for a
+    transaction that already completed) raises it, and the monitor lets it
+    through as the trace error it is.
     """
+
+
+def _is_index(value: object) -> bool:
+    """Whether ``value`` is a transaction's position in its session: an
+    int (not a bool) >= 0."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -130,8 +139,10 @@ class TraceEvent:
             raise TraceFormatError(f"unknown event type {op!r}")
         session = obj.get("session")
         txn = obj.get("txn")
-        if not isinstance(session, str) or not isinstance(txn, int) or isinstance(txn, bool):
-            raise TraceFormatError(f"event needs a string 'session' and int 'txn': {obj!r}")
+        if not isinstance(session, str) or not _is_index(txn):
+            raise TraceFormatError(
+                f"event needs a string 'session' and an int 'txn' >= 0: {obj!r}"
+            )
         var = value = None
         source: Optional[Tuple[str, int]] = None
         local = False
@@ -154,10 +165,11 @@ class TraceEvent:
                     isinstance(raw, (list, tuple))
                     and len(raw) == 2
                     and isinstance(raw[0], str)
-                    and isinstance(raw[1], int)
-                    and not isinstance(raw[1], bool)
+                    and _is_index(raw[1])
                 ):
-                    raise TraceFormatError(f"external read needs 'from': [session, txn]: {obj!r}")
+                    raise TraceFormatError(
+                        f"external read needs 'from': [session, txn >= 0]: {obj!r}"
+                    )
                 source = (raw[0], raw[1])
         return cls(op, session, txn, var, value, source, local)
 
@@ -497,10 +509,10 @@ class TraceReplayer:
         """Whether ``tid`` existed at some point but was evicted.
 
         Decidable in O(1) from the per-session begin counter: the
-        transaction existed iff its index is below the session's next begin
-        index, and it is forgotten iff it no longer has a log.
+        transaction existed iff its index is between 0 and the session's
+        next begin index, and it is forgotten iff it no longer has a log.
         """
-        return tid not in self._logs and tid.index < self._session_begun.get(tid.session, 0)
+        return tid not in self._logs and 0 <= tid.index < self._session_begun.get(tid.session, 0)
 
     @property
     def live_count(self) -> int:

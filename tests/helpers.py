@@ -1,8 +1,9 @@
 """Shared fixtures and builders for the test suite.
 
 Contains the paper's example programs (Figs. 8–13, D.1), a seeded random
-program generator used by the completeness/optimality sweeps, and history
-generators for checker cross-validation.
+program generator used by the completeness/optimality sweeps, history
+generators for checker cross-validation, and a trace stream that the
+streaming monitor evicts from at every level.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.core import History, HistoryBuilder
 from repro.isolation import get_level
 from repro.lang import L, Program, ProgramBuilder, abort
 from repro.semantics import enumerate_histories
+from repro.trace import Trace
 
 
 # -- paper example programs ------------------------------------------------------
@@ -174,3 +176,66 @@ def assert_explore_matches_reference(program, level_name: str, explore_result) -
     assert not only_ref, f"incomplete under {level_name}: missing {len(only_ref)} histories"
     assert not only_got, f"unsound under {level_name}: {len(only_got)} extra histories"
     assert got.duplicates == 0, f"not optimal under {level_name}: {got.duplicates} duplicates"
+
+
+# -- trace streams ------------------------------------------------------------------
+
+
+def evicting_stream(seed, transactions=80, sessions=3, empty=0.4, aborts=0.15, early=0.3):
+    """A serial stream whose empty transactions search levels may evict.
+
+    Transactions run one at a time, reading the latest committed value, so
+    every level holds throughout and the monitor keeps collecting.  With
+    probability ``early`` a transaction begins just before its predecessor
+    in the stream (of another session) runs, so begin order is not commit
+    order: a witness with the new transactions placed last in begin order
+    can fail, and the witness levels search again over every live
+    transaction.
+    """
+    rng = random.Random(seed)
+    variables = ("x", "y")
+    latest = {var: (["__init__", 0], 0) for var in variables}
+    begun = [0] * sessions
+    chunks = []
+    for _ in range(transactions):
+        s = rng.randrange(sessions)
+        name, txn = f"s{s}", begun[s]
+        begun[s] += 1
+        chunk = []
+
+        def rec(op, **extra):
+            chunk.append({"type": op, "session": name, "txn": txn, **extra})
+
+        rec("begin")
+        wrote = {}
+        if rng.random() >= empty:
+            for _ in range(rng.randint(1, 4)):
+                var = rng.choice(variables)
+                if rng.random() < 0.5:
+                    if var in wrote:
+                        rec("read", var=var, value=wrote[var], local=True)
+                    else:
+                        source, value = latest[var]
+                        rec("read", var=var, value=value, **{"from": source})
+                else:
+                    wrote[var] = rng.randint(1, 9)
+                    rec("write", var=var, value=wrote[var])
+        if rng.random() < aborts:
+            rec("abort")
+        else:
+            rec("commit")
+            for var, value in wrote.items():
+                latest[var] = ([name, txn], value)
+        chunks.append(chunk)
+    # Never move two neighbours: a moved begin must follow its session's
+    # previous transaction, which ended before the predecessor began.
+    moved = [False] * len(chunks)
+    for k in range(1, len(chunks)):
+        other_session = chunks[k][0]["session"] != chunks[k - 1][0]["session"]
+        moved[k] = other_session and not moved[k - 1] and rng.random() < early
+    records = []
+    for k, chunk in enumerate(chunks):
+        if k + 1 < len(chunks) and moved[k + 1]:
+            records.append(chunks[k + 1][0])
+        records.extend(chunk[1:] if moved[k] else chunk)
+    return Trace.from_records(records, variables=variables, name=f"evicting{seed}")

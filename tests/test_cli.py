@@ -19,6 +19,19 @@ def _trace_with_event_type(kind):
     return json.dumps(header) + "\n" + json.dumps(event) + "\n"
 
 
+def _trace_with_negative_index(field):
+    """A header, ``begin s0/0``, then an event with index -1 in ``field``:
+    a write of ``t(s0,-1)``, or a read from it."""
+    header = {"type": "header", "format": "repro-trace", "version": 1, "variables": ["x"]}
+    begin = {"type": "begin", "session": "s0", "txn": 0}
+    if field == "txn":
+        event = {"type": "write", "session": "s0", "txn": -1, "var": "x", "value": 1}
+    else:
+        event = {"type": "read", "session": "s0", "txn": 0, "var": "x", "value": 0,
+                 "from": ["s0", -1]}
+    return "".join(json.dumps(obj) + "\n" for obj in (header, begin, event))
+
+
 @pytest.fixture
 def program_file(tmp_path):
     path = tmp_path / "demo.txn"
@@ -263,6 +276,18 @@ class TestRecordReplay:
                 main(["replay", str(bad), *extra])
             assert exc.value.code == f"error: {bad}: line 2: unknown event type {kind!r}"
 
+    @pytest.mark.parametrize("field", ["txn", "from"])
+    def test_replay_rejects_negative_indices_at_decode(self, tmp_path, field):
+        """A negative index is a format error on its line, on both paths,
+        not an event for an "evicted" transaction."""
+        bad = tmp_path / "negative.jsonl"
+        bad.write_text(_trace_with_negative_index(field))
+        for extra in ([], ["--online"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["replay", str(bad), *extra])
+            assert exc.value.code.startswith(f"error: {bad}: line 3: ")
+            assert ">= 0" in exc.value.code and "evicted" not in exc.value.code
+
     def test_replay_online_supports_every_registered_level(self, tmp_path):
         """The registry made every level online-checkable — TRUE included."""
         from repro.trace import gadget_traces
@@ -402,6 +427,18 @@ class TestMonitor:
             self._pipe(monkeypatch, _trace_with_event_type(kind),
                        ["monitor", "--stdin", "--isolation", "RC"])
         assert exc.value.code == f"error: line 2: unknown event type {kind!r}"
+
+    @pytest.mark.parametrize("field", ["txn", "from"])
+    @pytest.mark.parametrize("stale", ["keep", "assume-fresh"])
+    def test_negative_index_is_a_clean_error(self, monkeypatch, field, stale):
+        """A negative index fails at decode in either retention mode, and
+        never blames the assume-fresh window."""
+        level = "SER" if stale == "keep" else "RC"
+        with pytest.raises(SystemExit) as exc:
+            self._pipe(monkeypatch, _trace_with_negative_index(field),
+                       ["monitor", "--stdin", "--isolation", level, "--stale", stale])
+        assert exc.value.code.startswith("error: line 3: ")
+        assert ">= 0" in exc.value.code and "window" not in exc.value.code
 
     def test_honest_workload_is_consistent(self, monkeypatch, capsys):
         """Acceptance: an honest recorded app workload monitors clean."""

@@ -21,12 +21,21 @@ import threading
 
 import pytest
 
+from helpers import evicting_stream
 from repro.apps.workloads import record_workload_trace
 from repro.checking.online import OnlineChecker
 from repro.engine.harness import run_program, workload_program
 from repro.engine.mvcc import get_engine_config
 from repro.monitor import Monitor, MonitorConfig, MonitorStaleReadError, serve
-from repro.trace import Trace, fuzz_history, fuzz_stream, gadget_traces
+from repro.trace import (
+    Trace,
+    TraceEvent,
+    TraceFormatError,
+    fuzz_history,
+    fuzz_stream,
+    gadget_traces,
+)
+from repro.trace.format import EvictedTransactionError
 
 LEVELS = ("RC", "RA", "CC", "SI", "SER")
 
@@ -176,6 +185,28 @@ class TestAssumeFreshEquivalence:
                 )
                 for event in events:
                     monitor.feed(event)
+
+    def test_keep_mode_does_not_blame_the_window(self):
+        """In keep mode only a malformed event names an evicted transaction
+        (here: a second commit of one): the trace error comes through as
+        is, and an index that never began is no evicted transaction."""
+        trace = evicting_stream(0)
+        monitor = Monitor(
+            trace.header, MonitorConfig(isolation="SER", window=1, gc_every=1, evict_batch=1)
+        )
+        monitor.run(trace.events)
+        replayer = monitor.checker.replayer
+        gone = next(
+            event.tid for event in trace.events
+            if event.op == "begin" and replayer.was_forgotten(event.tid)
+        )
+        with pytest.raises(EvictedTransactionError) as exc:
+            monitor.feed(TraceEvent("commit", gone.session, gone.index))
+        assert not isinstance(exc.value, MonitorStaleReadError)
+        never = TraceEvent("commit", gone.session, -1)
+        assert not replayer.was_forgotten(never.tid)
+        with pytest.raises(TraceFormatError, match="missing begin"):
+            monitor.feed(never)
 
     def test_assume_fresh_rejected_for_non_static_levels(self):
         for level in ("RA", "CC", "SI", "SER"):

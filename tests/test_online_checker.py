@@ -8,12 +8,11 @@ state), across paper histories, fuzzed traces and application workloads —
 the acceptance property of the trace subsystem.
 """
 
-import random
 from collections import Counter
 
 import pytest
 
-from helpers import PAPER_PROGRAMS
+from helpers import PAPER_PROGRAMS, evicting_stream
 from repro.apps.workloads import record_workload_trace
 from repro.checking.online import DEFAULT_LEVELS, OnlineChecker, OnlineStep, check_trace
 from repro.core import INIT_TXN, HistoryBuilder, RelationMatrix, TxnId
@@ -270,6 +269,43 @@ class TestRecheckRule:
         assert inert_while_pending >= 5
 
 
+class TestReplayPrunes:
+    """``OnlineChecker.replay`` prunes settled readers as it goes, so RA and
+    CC outside the monitor no longer re-check every pending premise of the
+    whole run on each external read."""
+
+    @pytest.fixture(scope="class")
+    def hotkeys(self):
+        return run_program(
+            workload_program("hotkeys", 2, 300, 7), get_engine_config("serializable"), seed=7
+        ).trace.prefix(700)
+
+    def test_ra_premise_evaluations_stay_amortised(self, hotkeys):
+        """Without pruning, RA evaluated 602,517 premises over these 700
+        events; pruning at max(64, twice what the last prune left) leaves
+        about a sixth of that."""
+        checker = OnlineChecker.from_trace(hotkeys, levels=("RA",))
+        before = IncrementalSaturation.premise_evals
+        checker.replay(hotkeys)
+        assert IncrementalSaturation.premise_evals - before < 150_000
+        assert checker.verdicts == {"RA": True}
+
+    def test_pruning_keeps_every_step(self, hotkeys):
+        """The pruning replay gives the steps of a plain feed loop."""
+        prefix = hotkeys.prefix(400)
+        levels = ("RC", "RA", "CC", "SER")
+        pruned = OnlineChecker.from_trace(prefix, levels=levels).replay(prefix)
+        checker = OnlineChecker.from_trace(prefix, levels=levels)
+        assert [checker.feed(event) for event in prefix.events] == pruned
+
+    def test_short_runs_do_not_prune(self, monkeypatch):
+        """Below PRUNE_FLOOR external reads, replay never prunes."""
+        trace = Trace.from_history(fuzz_history(0, abort_rate=0.25))
+        checker = OnlineChecker.from_trace(trace)
+        monkeypatch.setattr(checker, "prune_settled", lambda: pytest.fail("pruned"))
+        checker.replay(trace)
+
+
 def event_kind(event, wrote):
     """Classify ``event`` for the skip rules; ``wrote`` maps each
     transaction to the variables it wrote so far, updated here."""
@@ -419,66 +455,6 @@ class TestSkipRules:
                 assert step.verdicts == {"SI": True, "SER": True}
         first = checker.first_violation("SER")
         assert first is not None and first.index == 21
-
-
-def evicting_stream(seed, transactions=80, sessions=3, empty=0.4, aborts=0.15, early=0.3):
-    """A serial stream whose empty transactions search levels may evict.
-
-    Transactions run one at a time, reading the latest committed value, so
-    every level holds throughout and the monitor keeps collecting.  With
-    probability ``early`` a transaction begins just before its predecessor
-    in the stream (of another session) runs, so begin order is not commit
-    order: a witness with the new transactions placed last in begin order
-    can fail, and the witness levels search again over every live
-    transaction.
-    """
-    rng = random.Random(seed)
-    variables = ("x", "y")
-    latest = {var: (["__init__", 0], 0) for var in variables}
-    begun = [0] * sessions
-    chunks = []
-    for _ in range(transactions):
-        s = rng.randrange(sessions)
-        name, txn = f"s{s}", begun[s]
-        begun[s] += 1
-        chunk = []
-
-        def rec(op, **extra):
-            chunk.append({"type": op, "session": name, "txn": txn, **extra})
-
-        rec("begin")
-        wrote = {}
-        if rng.random() >= empty:
-            for _ in range(rng.randint(1, 4)):
-                var = rng.choice(variables)
-                if rng.random() < 0.5:
-                    if var in wrote:
-                        rec("read", var=var, value=wrote[var], local=True)
-                    else:
-                        source, value = latest[var]
-                        rec("read", var=var, value=value, **{"from": source})
-                else:
-                    wrote[var] = rng.randint(1, 9)
-                    rec("write", var=var, value=wrote[var])
-        if rng.random() < aborts:
-            rec("abort")
-        else:
-            rec("commit")
-            for var, value in wrote.items():
-                latest[var] = ([name, txn], value)
-        chunks.append(chunk)
-    # Never move two neighbours: a moved begin must follow its session's
-    # previous transaction, which ended before the predecessor began.
-    moved = [False] * len(chunks)
-    for k in range(1, len(chunks)):
-        other_session = chunks[k][0]["session"] != chunks[k - 1][0]["session"]
-        moved[k] = other_session and not moved[k - 1] and rng.random() < early
-    records = []
-    for k, chunk in enumerate(chunks):
-        if k + 1 < len(chunks) and moved[k + 1]:
-            records.append(chunks[k + 1][0])
-        records.extend(chunk[1:] if moved[k] else chunk)
-    return Trace.from_records(records, variables=variables, name=f"evicting{seed}")
 
 
 def assert_summaries_maintained(checker):

@@ -168,6 +168,20 @@ class TestSchemaValidation:
                      "from": ["w", bad]}
                 )
 
+    @pytest.mark.parametrize("field", ["txn", "from"])
+    def test_negative_index_rejected_with_line(self, field):
+        """A negative transaction index fails at decode, not later as an
+        "evicted" transaction that never began."""
+        header = json.dumps(TraceHeader(variables=("x",)).to_json_obj())
+        begin = json.dumps({"type": "begin", "session": "s0", "txn": 0})
+        if field == "txn":
+            bad = {"type": "write", "session": "s0", "txn": -1, "var": "x", "value": 1}
+        else:
+            bad = {"type": "read", "session": "s0", "txn": 0, "var": "x", "value": 0,
+                   "from": ["s0", -1]}
+        with pytest.raises(TraceFormatError, match=r"line 3: .*>= 0"):
+            Trace.loads("\n".join([header, begin, json.dumps(bad)]))
+
     def test_bad_value_encoding_reported_with_line(self):
         header = json.dumps(TraceHeader(variables=("x",)).to_json_obj())
         bad = json.dumps(
