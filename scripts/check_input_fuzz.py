@@ -8,8 +8,9 @@ Two surfaces read text a user hands in:
   or swap lines) and field by field (delete a field, null it, or retype
   it, including negative and very large integers), two mutations per
   input.  Each input must either decode and run through
-  ``OnlineChecker.replay`` and a keep-mode ``Monitor`` fed from the
-  streaming line reader, or fail with ``TraceFormatError``.  When both
+  ``OnlineChecker.replay`` at every registered level and a keep-mode
+  ``Monitor`` fed from the streaming line reader (its level cycling over
+  every registered level), or fail with ``TraceFormatError``.  When both
   run, the monitor's verdict must equal the checker's (keep mode is
   exact).
 * **program text** (``repro check``): a few programs in the paper's syntax
@@ -39,13 +40,18 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.checking.online import DEFAULT_LEVELS, OnlineChecker  # noqa: E402
+from repro.checking.online import OnlineChecker  # noqa: E402
+from repro.isolation import registered_levels  # noqa: E402
 from repro.lang import ParseError, parse_program  # noqa: E402
 from repro.monitor import MonitorConfig, monitor_stream  # noqa: E402
 from repro.trace import Trace, TraceFormatError, fuzz_stream  # noqa: E402
 
 #: Events in the trace every trace input is mutated from.
 TRACE_EVENTS = 60
+
+#: Every registered level, weakest first: the checker decides them all,
+#: and the monitor cycles over them.
+LEVELS = tuple(level.name for level in registered_levels())
 
 #: Wall-clock bound per input, in seconds (a 60-event trace decides in
 #: milliseconds; this catches a hang or a blow-up, not a slow box).
@@ -138,7 +144,7 @@ def run_trace(text: str, level: str) -> str:
         trace = Trace.loads(text)
     except TraceFormatError:
         return "decode error"
-    checker = OnlineChecker.from_trace(trace, levels=DEFAULT_LEVELS)
+    checker = OnlineChecker.from_trace(trace, levels=LEVELS)
     try:
         checker.replay(trace)
     except TraceFormatError:
@@ -190,7 +196,7 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         try:
             if surface == "trace":
-                outcome = run_trace(text, DEFAULT_LEVELS[i % len(DEFAULT_LEVELS)])
+                outcome = run_trace(text, LEVELS[i % len(LEVELS)])
             else:
                 outcome = run_program_text(text)
         except Exception as err:  # noqa: BLE001 - every untyped failure is a finding

@@ -13,9 +13,9 @@ candidate extensions ``ValidWrites`` rejects and the abort-of-a-writer
 nodes, which are derived by retracting the writer's fired edges.
 
 On nodes where both sides are consistent it additionally compares the full
-``so ∪ wr ∪ forced`` closures edge-by-edge, and the fired edges the
-PSI/BS-3 search reads: the derived state must hold exactly what the batch
-rebuild derives, not merely agree on acyclicity.
+``so ∪ wr ∪ forced`` closures edge-by-edge (the closure the PSI/BS-3
+search reads) and the fired edges: the derived state must hold exactly
+what the batch rebuild derives, not merely agree on acyclicity.
 
 Standalone on purpose: the property must hold on every supported
 interpreter, and the auxiliary pythons (3.9/3.12) have no pytest, so

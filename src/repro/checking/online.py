@@ -26,17 +26,19 @@ What is incremental
   they can use; they are monotone in the grow-only prefix), and the
   verdict is the maintained closure's O(1) acyclicity flag;
 * the search levels — SI, SER, PSI, PC, BS-3 — decide by their memoized
-  searches (their axioms mention the commit order, so no saturation state
-  carries over), but only on an event that can change the verdict, and on
-  state the checker maintains rather than rebuilds: the matrix
-  (``History.adopt_causal_matrix``) and the searches' per-transaction
-  summaries (:class:`~repro.isolation.summaries.LiveSummaries`, seeded via
-  ``History.adopt_summaries``: a ``begin`` appends a row, an external read
-  its ``(variable, source)``, a first write its variable, a writer's abort
-  clears the writes and keeps the reads, and :meth:`OnlineChecker.evict`
-  compacts the rows as the matrix does).  SER, SI and PC first re-check
-  their witness, at the event's own transaction, and most events never
-  search (see below).  Without a search level nothing of this is kept.
+  searches (their axioms mention the commit order), but only on an event
+  that can change the verdict, and on state the checker maintains: the
+  searches' per-transaction summaries
+  (:class:`~repro.isolation.summaries.LiveSummaries`: a ``begin`` appends
+  a row, an external read its ``(variable, source)``, a first write its
+  variable, a writer's abort clears the writes and keeps the reads, and
+  :meth:`OnlineChecker.evict` compacts the rows as the matrices do), read
+  in place over the ``so ∪ wr`` matrix for SER, SI and PC, and for PSI and
+  BS-3 over the matrix of the saturation state of their co-free axioms
+  (CC's, RC's; one state per distinct axiom set), whose closure adds every
+  forced edge.  SER, SI and PC first re-check their witness, at the
+  event's own transaction, and most events never search (see below).  No
+  decision builds a history.
 
 Which camp a level falls in is read off its
 :class:`~repro.isolation.registry.LevelSpec`, so spec-registered
@@ -45,7 +47,7 @@ extensions stream without touching this module.
 When a search level keeps its verdict
 -------------------------------------
 
-A level's check decides from the transactions, ``so ∪ wr``, the external
+A level's search decides from the transactions, ``so ∪ wr``, the external
 reads with their sources and the visible write sets (the contract on
 :class:`~repro.isolation.registry.LevelSpec`).  No verdict code reads
 commit status — a pending transaction's writes count, only an abort hides
@@ -64,7 +66,7 @@ On such an event SER, SI and PC first re-check a witness.  Def. 2.2 is
 existential, so the path a successful search took certifies its verdict: a
 commit order for SER, a start/commit schedule for SI and PC.  The checker
 keeps it per level as a placement on the maintained matrix's rows
-(``LevelSpec.witness`` names how to build one), with the transactions
+(``LevelSpec.place`` builds one), with the transactions
 begun since placed last in begin order (for SI/PC start-then-commit);
 :meth:`OnlineChecker.witness` reads it as transaction ids.  Before the
 event the placement passes the search's step conditions, and the event
@@ -80,9 +82,9 @@ re-run the search's step conditions in one pass over the matrix's ancestor
 rows and the summaries' rows, which builds the placement: no history is
 built and nothing is copied.  A passing re-check is a witness for exactly
 the state the search would see, so the verdict is the search's.  Only a
-failing re-check, or no witness, searches, and that search's witness
-(cached on the history it ran on, so it costs no second search) replaces
-the old one; a violated verdict drops it.  PSI and BS-3 search every time.
+failing re-check, or no witness, searches, and the path that search took
+replaces the old witness; a violated verdict drops it.  PSI and BS-3 keep
+no witness and search every time.
 
 The abort exception
 -------------------
@@ -104,11 +106,12 @@ from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, 
 from ..core.bitrel import RelationMatrix
 from ..core.events import INIT_TXN, Event, TxnId
 from ..core.history import History
+from ..isolation.axioms import Axiom
 from ..isolation.base import IsolationLevel, get_level
-from ..isolation.registry import LevelSpec, Placement, WitnessCheck, level_spec
+from ..isolation.registry import LevelSpec, Placement, level_spec
 from ..isolation.saturation import IncrementalSaturation
 from ..isolation.summaries import LiveSummaries
-from ..trace.format import Trace, TraceEvent, TraceHeader, TraceReplayer
+from ..trace.format import Trace, TraceEvent, TraceFormatError, TraceHeader, TraceReplayer
 
 #: The levels an OnlineChecker decides by default, weakest first (the
 #: paper's chain; any registered level name is accepted — ``repro levels``
@@ -119,23 +122,6 @@ DEFAULT_LEVELS: Tuple[str, ...] = ("RC", "RA", "CC", "SI", "SER")
 #: reads-of-var entries reach twice what the last prune left, and at least
 #: this many.
 PRUNE_FLOOR = 64
-
-
-def _saturation_eligible(spec: LevelSpec) -> bool:
-    """Whether a level is decided by incremental saturation online.
-
-    Co-free axioms without an order predicate and without a bespoke search
-    checker: the forced-edge state streams; everything else (SI/SER/PSI/
-    PC/BS-3) re-runs its batch search per event on the maintained matrix.
-    An axiom-free level (TRUE) is saturation-eligible regardless of its
-    batch check — with no axioms the streamed verdict is exactly base
-    ``so ∪ wr`` acyclicity.
-    """
-    if spec.order_predicate is not None:
-        return False
-    if not all(axiom.co_free for axiom in spec.axioms):
-        return False
-    return spec.check is None or not spec.axioms
 
 
 @dataclass(frozen=True)
@@ -191,8 +177,7 @@ class _PrefixFacts:
 
     Materialising the real history per fed event was the monitor's
     throughput ceiling: the premise pass only ever touches these five
-    members, so the hot path passes this view instead and the history is
-    built lazily only where search levels truly need it.
+    members, so the hot path passes this view instead.
     """
 
     __slots__ = ("_checker", "txns")
@@ -269,31 +254,40 @@ class OnlineChecker:
         self._replayer = TraceReplayer(header)
         #: Maintained so ∪ wr closure over all transactions, init included.
         self._causal = RelationMatrix((INIT_TXN,))
+        states: Dict[Tuple[Axiom, ...], IncrementalSaturation] = {}
+
+        def state_for(axioms: Tuple[Axiom, ...]) -> IncrementalSaturation:
+            if axioms not in states:
+                states[axioms] = IncrementalSaturation(axioms)
+            return states[axioms]
+
+        #: Saturation level → its state.
         self._saturation: Dict[str, IncrementalSaturation] = {}
-        search: List[str] = []
+        #: Search level → its spec, and the state whose matrix holds the
+        #: closure its search respects (None: ``_causal``'s ``so ∪ wr``).
+        self._searches: Dict[str, Tuple[LevelSpec, Optional[IncrementalSaturation]]] = {}
         for name in self.levels:
             spec = level_spec(name)
-            if _saturation_eligible(spec):
-                self._saturation[name] = IncrementalSaturation(spec.axioms)
+            if spec.search is None:
+                self._saturation[name] = state_for(spec.axioms)
             else:
-                search.append(name)
+                forced = spec.forced_axioms()
+                self._searches[name] = (spec, state_for(forced) if forced else None)
+        #: One saturation state per distinct co-free axiom set, so that CC
+        #: and PSI (or RC and BS-3) share theirs.
+        self._states: Tuple[IncrementalSaturation, ...] = tuple(states.values())
         #: Search levels whose violation no appending event can undo.
         self._prefix_closed: Set[str] = {
-            name for name in search if level_spec(name).prefix_closed
-        }
-        #: Search levels that keep a witness, and how to re-check it.
-        self._witness_checks: Dict[str, WitnessCheck] = {
-            name: level_spec(name).witness
-            for name in search
-            if level_spec(name).witness is not None
+            name for name, (spec, _state) in self._searches.items() if spec.prefix_closed
         }
         #: Level → its witness as a placement on ``_causal``'s rows, while
         #: that level holds.
         self._placements: Dict[str, Placement] = {}
-        #: The searches' per-transaction summaries, on ``_causal``'s rows;
-        #: kept only when some level searches.
+        #: The searches' per-transaction summaries, on ``_causal``'s rows
+        #: (every state's matrix has the same rows); kept only when some
+        #: level searches.
         self._summaries: Optional[LiveSummaries] = (
-            LiveSummaries(header.variables) if search else None
+            LiveSummaries(header.variables) if self._searches else None
         )
         #: var → (read event, source tid) for every external read so far.
         self._reads_of_var: Dict[str, List[Tuple[Event, TxnId]]] = {}
@@ -330,10 +324,10 @@ class OnlineChecker:
         """Append one event, make the saturation step, re-decide levels."""
         added = self._replayer.apply(event)
         tid = event.tid
-        states = self._saturation.values()
+        states = self._states
         summaries = self._summaries
-        # Premises are decided against the O(1) facts view, so the prefix
-        # history is materialised only for the search levels.
+        # Premises are decided against the O(1) facts view: no prefix
+        # history is materialised.
         facts = self._facts
         # Whether the event can change a search level's verdict, and
         # whether it retracts writes (the one step that can undo a
@@ -430,32 +424,48 @@ class OnlineChecker:
         begun since placed last: at the event's own transaction
         (``recheck``), or in one pass over the maintained matrix and
         summaries after a writer's abort (``recheck`` None).  Only when
-        that fails, or there is none, run the batch check (SI/SER/PSI/PC/
-        BS-3 or any spec-registered extension) on the prefix history, which
-        adopts the maintained matrix and summaries.  Its witness, placed in
-        one pass, replaces the old one; a violation drops it.
+        that fails, or there is none, search.  The search's witness,
+        placed in one pass, replaces the old one; a violation drops it.
         """
-        check = self._witness_checks.get(name)
+        spec = self._searches[name][0]
         placement = self._placements.pop(name, None)
         if placement is not None:
             placement.grow(len(self._causal))
             if recheck is None:
-                placement = check.place(placement.rows(), self._summaries.view(self._causal))
+                placement = spec.place(placement.rows(), self._summaries.view(self._causal))
             elif not recheck(placement):
                 placement = None
             if placement is not None:
                 self._placements[name] = placement
                 return True
-        history = self.history()
-        holds = get_level(name).satisfies(history)
-        if holds and check is not None:
-            placement = check.place(check.path(history), self._summaries.view(self._causal))
+        path = self._search(name)
+        if path is not None and spec.place is not None:
+            placement = spec.place(path, self._summaries.view(self._causal))
             if placement is not None:
                 self._placements[name] = placement
-        return holds
+        return path is not None
+
+    def _search(self, name: str) -> Optional[List[int]]:
+        """The path level ``name``'s search finds on the current prefix, or
+        None: the one call through which an online decision searches.
+
+        It reads the summaries over the matrix whose closure the search
+        respects: ``_causal``, or the level's saturation state's, whose
+        cycle admits no commit order and is not searched.
+        """
+        spec, state = self._searches[name]
+        if state is None:
+            return spec.search(self._summaries.view(self._causal))
+        if not state.consistent:
+            return None
+        return spec.search(self._summaries.view(state.matrix))
 
     def replay(self, trace: Trace) -> List[OnlineStep]:
         """Feed every event of ``trace``; returns one step per event.
+
+        An event the trace replayer rejects raises its
+        :class:`~repro.trace.format.TraceFormatError`, of the same type,
+        prefixed with ``event #N:`` as :meth:`Trace.to_history` does.
 
         Settled readers are pruned (:meth:`prune_settled`) whenever the
         un-pruned reads-of-var entries reach twice what the last prune
@@ -465,8 +475,11 @@ class OnlineChecker:
         steps = []
         unpruned = self._unpruned_reads()
         threshold = max(PRUNE_FLOOR, 2 * unpruned)
-        for event in trace.events:
-            steps.append(self.feed(event))
+        for index, event in enumerate(trace.events):
+            try:
+                steps.append(self.feed(event))
+            except TraceFormatError as err:
+                raise type(err)(f"event #{index}: {err}") from None
             if event.op == "read" and not event.local:
                 unpruned += 1
                 if unpruned >= threshold:
@@ -515,9 +528,14 @@ class OnlineChecker:
             for _read, source in reads
         }
 
+    def has_external_reads(self, tid: TxnId) -> bool:
+        """Whether live transaction ``tid`` has made an external read."""
+        return tid in self._sources_read
+
     def saturation_states(self) -> Tuple["IncrementalSaturation", ...]:
-        """The per-level saturation states (read-only; GC-gate probing)."""
-        return tuple(self._saturation.values())
+        """Every saturation state, one per distinct co-free axiom set, the
+        search levels' included (read-only; GC-gate probing)."""
+        return self._states
 
     @property
     def evicted_count(self) -> int:
@@ -569,7 +587,7 @@ class OnlineChecker:
             self._summaries.evict(keep)
             if self._placements:
                 self._compact_placements(keep)
-        for state in self._saturation.values():
+        for state in self._states:
             state.evict(drop)
         for var, reads in list(self._reads_of_var.items()):
             kept = [(read, source) for read, source in reads if read.eid.txn not in drop]
@@ -594,7 +612,7 @@ class OnlineChecker:
         view = self._summaries.view(self._causal)
         for name, placement in list(self._placements.items()):
             rows = [new_row[row] for row in placement.rows() if row in new_row]
-            placement = self._witness_checks[name].place(rows, view)
+            placement = self._searches[name][0].place(rows, view)
             if placement is None:
                 del self._placements[name]
             else:
@@ -636,7 +654,7 @@ class OnlineChecker:
                 self._reads_of_var[var] = kept
             else:
                 del self._reads_of_var[var]
-        for state in self._saturation.values():
+        for state in self._states:
             pruned += state.prune_pending(
                 lambda t1, t2, read: reader_settled(read.eid.txn)
             )
@@ -647,18 +665,14 @@ class OnlineChecker:
     def history(self) -> History:
         """The prefix history, with the maintained closure pre-adopted.
 
-        Materialised lazily per fed event; the returned history's
-        ``causal_matrix()`` is a frozen copy of the maintained matrix, so
-        downstream consistency checks never rebuild the relation.  With a
-        search level it also carries a snapshot of the maintained search
-        summaries, so the searches do not rebuild those either.
+        Materialised lazily, for callers that want a history: no decision
+        reads it.  The returned history's ``causal_matrix()`` is a frozen
+        copy of the maintained matrix, so a batch check on it never
+        rebuilds the relation.
         """
         if self._history is None:
             history = self._replayer.history()
-            matrix = self._causal.copy()
-            history.adopt_causal_matrix(matrix)
-            if self._summaries is not None:
-                history.adopt_summaries(self._summaries.snapshot(matrix))
+            history.adopt_causal_matrix(self._causal.copy())
             self._history = history
         return self._history
 

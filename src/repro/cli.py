@@ -405,7 +405,7 @@ def _cmd_levels(args: argparse.Namespace) -> int:
     rows = []
     for spec in specs:
         axioms = ", ".join(axiom.name for axiom in spec.axioms) or "-"
-        if spec.axioms and spec.check is not None:
+        if spec.search is not None:
             axioms += " (+search)"
         rows.append(
             (

@@ -480,21 +480,6 @@ class History:
             self._cache["sat_states"] = states
         return states
 
-    def witnesses(self) -> Dict[str, object]:
-        """The commit-order searches' results, cached on this history.
-
-        Maps a search (``"SER"``, ``"SI"``, ``"PC"``) to the witness its
-        path gave, in row indices of :meth:`causal_matrix`, or to ``None``
-        when it found none.  A verdict and its witness thus come from one
-        search.  Internal plumbing between :mod:`repro.isolation.serializability`,
-        :mod:`repro.isolation.snapshot` and the online checker.
-        """
-        witnesses = self._cache.get("witnesses")
-        if witnesses is None:
-            witnesses = {}
-            self._cache["witnesses"] = witnesses
-        return witnesses  # type: ignore[return-value]
-
     def adopt_causal_matrix(self, matrix: RelationMatrix) -> None:
         """Seed the causal-closure cache with an incrementally-derived matrix.
 
@@ -506,26 +491,6 @@ class History:
         if matrix.nodes != tuple(self.txns):
             raise ValueError("adopted matrix does not match this history's transactions")
         self._cache["causal_matrix"] = matrix.freeze()
-        # Seeded summaries and found witnesses index the previous matrix's rows.
-        self._cache.pop("summaries", None)
-        self._cache.pop("witnesses", None)
-
-    def adopt_summaries(self, summaries: object) -> None:
-        """Seed the commit-order searches' per-transaction summaries.
-
-        Used by the online checker, which keeps
-        :class:`~repro.isolation.summaries.DenseSummaries` up to date per
-        event on the dense indexing of the matrix it seeds with
-        :meth:`adopt_causal_matrix` — adopt that matrix first.  Adopting
-        another matrix afterwards drops the summaries.
-        """
-        if "causal_matrix" not in self._cache:
-            raise ValueError("adopt the causal matrix the summaries index first")
-        self._cache["summaries"] = summaries
-
-    def adopted_summaries(self) -> Optional[object]:
-        """The summaries seeded by :meth:`adopt_summaries`, if any."""
-        return self._cache.get("summaries")
 
     def causally_before(self, a: TxnId, b: TxnId) -> bool:
         """``(a, b) ∈ (so ∪ wr)+``."""

@@ -7,7 +7,6 @@ from .axioms import AXIOMS_BY_LEVEL, ORDER_PREDICATES
 from .liveness import EvictionPolicy, eviction_policy, evictable_transactions
 from .registry import (
     LevelSpec,
-    WitnessCheck,
     lattice_edges,
     level_spec,
     level_specs,
@@ -21,7 +20,6 @@ from .snapshot import pc_witness, satisfies_pc, satisfies_si, schedule_commit_or
 __all__ = [
     "IsolationLevel",
     "LevelSpec",
-    "WitnessCheck",
     "get_level",
     "registered_levels",
     "register_spec",

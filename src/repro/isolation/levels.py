@@ -31,17 +31,16 @@ The lattice (weaker below, 20 edges)::
 from __future__ import annotations
 
 from .axioms import AXIOMS_BY_LEVEL, ORDER_PREDICATES
-from .registry import LevelSpec, WitnessCheck, register_spec
-from .search import satisfies_bounded_staleness, satisfies_psi
-from .serializability import place_ser, satisfies_ser, ser_path
-from .snapshot import pc_path, place_pc, place_si, satisfies_pc, satisfies_si, si_path
+from .registry import LevelSpec, register_spec
+from .search import bounded_staleness_search, psi_search
+from .serializability import place_ser, ser_search
+from .snapshot import pc_search, place_pc, place_si, si_search
 
 TRUE = register_spec(
     LevelSpec(
         name="TRUE",
         strength=0,
         axioms=AXIOMS_BY_LEVEL["TRUE"],
-        check=lambda history: history.is_so_wr_acyclic(),
         causally_extensible=True,
         aliases=("trivial",),
         description="the trivial level: every well-formed history is consistent",
@@ -126,7 +125,7 @@ BS3 = register_spec(
         name="BS-3",
         strength=7,
         axioms=AXIOMS_BY_LEVEL["BS-3"],
-        check=lambda history: satisfies_bounded_staleness(history, 3),
+        search=lambda summaries: bounded_staleness_search(summaries, 3),
         order_predicate=ORDER_PREDICATES["BS-3"],
         causally_extensible=False,
         stronger_than=("RC",),
@@ -165,7 +164,7 @@ PSI = register_spec(
         name="PSI",
         strength=10,
         axioms=AXIOMS_BY_LEVEL["PSI"],
-        check=satisfies_psi,
+        search=psi_search,
         causally_extensible=False,
         stronger_than=("CC",),
         aliases=("parallel snapshot isolation", "parallel si", "parallel-si"),
@@ -179,8 +178,8 @@ PC = register_spec(
         name="PC",
         strength=11,
         axioms=AXIOMS_BY_LEVEL["PC"],
-        check=satisfies_pc,
-        witness=WitnessCheck(pc_path, place_pc),
+        search=pc_search,
+        place=place_pc,
         causally_extensible=False,
         stronger_than=("CC",),
         aliases=("prefix", "prefix consistency", "prefix-consistency"),
@@ -194,8 +193,8 @@ SI = register_spec(
         name="SI",
         strength=12,
         axioms=AXIOMS_BY_LEVEL["SI"],
-        check=satisfies_si,
-        witness=WitnessCheck(si_path, place_si),
+        search=si_search,
+        place=place_si,
         causally_extensible=False,
         stronger_than=("PSI", "PC"),
         aliases=("snapshot", "snapshot isolation"),
@@ -209,8 +208,8 @@ SER = register_spec(
         name="SER",
         strength=13,
         axioms=AXIOMS_BY_LEVEL["SER"],
-        check=satisfies_ser,
-        witness=WitnessCheck(ser_path, place_ser),
+        search=ser_search,
+        place=place_ser,
         causally_extensible=False,
         stronger_than=("SI", "BS-3"),
         aliases=("serializability", "serializable"),

@@ -82,7 +82,7 @@ __all__ = [
 class _View:
     """Precomputed per-GC-pass context shared by all predicate calls."""
 
-    __slots__ = ("checker", "replayer", "matrix", "pending_mask", "wr_sources", "fresh_writers", "_history")
+    __slots__ = ("checker", "replayer", "matrix", "pending_mask", "wr_sources", "fresh_writers")
 
     def __init__(self, checker, fresh_writers: Optional[Set[TxnId]]):
         self.checker = checker
@@ -91,12 +91,6 @@ class _View:
         self.pending_mask = checker.pending_mask()
         self.wr_sources = checker.live_wr_sources()
         self.fresh_writers = fresh_writers
-        self._history = None
-
-    def has_external_reads(self, tid: TxnId) -> bool:
-        if self._history is None:
-            self._history = self.checker.history()
-        return any(e.is_external_read for e in self._history.txns[tid].events)
 
 
 class EvictionPolicy:
@@ -134,7 +128,7 @@ class EvictionPolicy:
             # writers are pinned for life.  This is what makes keep mode
             # exact on arbitrary streams, and linear on write-heavy ones.
             return True
-        if self.requires_no_external_reads and view.has_external_reads(tid):
+        if self.requires_no_external_reads and view.checker.has_external_reads(tid):
             return True
         return False
 

@@ -4,10 +4,11 @@ The paper's central move is treating an isolation level as *data* — a set
 of axiom-schema instances — so every algorithm (saturation, the searches,
 DPOR, the online checker, the streaming monitor's GC) is parameterized by
 the level rather than hard-coding it.  :class:`LevelSpec` makes that
-concrete: one frozen record naming the axioms, the efficient checker, the
-position in the weaker-than lattice, and the monitor eviction rule.  The
-built-in levels in :mod:`repro.isolation.levels` register through it, and
-new levels need nothing more than another :func:`register_spec` call.
+concrete: one frozen record naming the axioms, the search (for levels
+saturation cannot decide), the position in the weaker-than lattice, and
+the monitor eviction rule.  The built-in levels in
+:mod:`repro.isolation.levels` register through it, and new levels need
+nothing more than another :func:`register_spec` call.
 
 Eviction rules (consumed by :mod:`repro.isolation.liveness`):
 
@@ -30,12 +31,17 @@ Eviction rules (consumed by :mod:`repro.isolation.liveness`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
+from ..core.events import TxnId
 from ..core.history import History
 from .axioms import Axiom, OrderPredicate
 from .base import IsolationLevel, add_aliases, get_level, record_lattice, register
-from .summaries import DenseSummaries
+from .saturation import satisfies_by_saturation
+from .summaries import DenseSummaries, dense_summaries
+
+if TYPE_CHECKING:
+    from .search import Search
 
 #: Valid eviction rule names, weakest pinning first.
 EVICTION_RULES = ("fresh", "writers", "inert")
@@ -66,41 +72,20 @@ class Placement(Protocol):
 
 
 @dataclass(frozen=True)
-class WitnessCheck:
-    """A search level's witness, and the one-pass re-check that places it.
-
-    Def. 2.2 is existential, so the commit order (or schedule) a successful
-    search finds certifies the verdict, and re-running the search's step
-    conditions along it decides the same history in one pass.  That pass
-    also returns the witness as a :class:`Placement`, which the online
-    checker keeps and re-checks per event.
-    """
-
-    #: The witness the level's ``check`` found on a history, in row
-    #: indices of its ``causal_matrix()`` (cached on the history by that
-    #: check: no second search), or None when it found none.
-    path: Callable[[History], Optional[Sequence[int]]]
-    #: ``place(rows, summaries)``: the witness given in row indices of
-    #: ``summaries`` as a placement, with the rows it leaves out (the last
-    #: ones) placed after it in row order, when the search's step
-    #: conditions hold along it; None otherwise.
-    place: Callable[[Sequence[int], DenseSummaries], Optional[Placement]]
-
-
-@dataclass(frozen=True)
 class LevelSpec:
     """Everything the toolchain needs to know about one isolation level.
 
-    The contract ``check`` keeps, which the online checker's skip rules
-    rest on: it decides from the transactions, ``so ∪ wr``, the external
-    reads with their sources and the visible write sets (the writes of
-    every transaction that has not aborted), and from nothing else — not
-    commit status, local reads or a repeated write to a variable.  Adding
-    a transaction with no reads, no writes and no outgoing edge (what a
-    ``begin`` appends) never changes the verdict: it can go last in any
-    commit order.  ``prefix_closed`` also licenses the checker to keep a
-    violated verdict without searching until a writer aborts, the one
-    step after which the old history is not a prefix of the new one.
+    The contract ``axioms`` and ``search`` keep, which the online
+    checker's skip rules rest on: they decide from the transactions, ``so
+    ∪ wr``, the external reads with their sources and the visible write
+    sets (the writes of every transaction that has not aborted), and from
+    nothing else — not commit status, local reads or a repeated write to a
+    variable.  Adding a transaction with no reads, no writes and no
+    outgoing edge (what a ``begin`` appends) never changes the verdict: it
+    can go last in any commit order.  ``prefix_closed`` also licenses the
+    checker to keep a violated verdict without searching until a writer
+    aborts, the one step after which the old history is not a prefix of
+    the new one.
     """
 
     #: Canonical short name (registry key), e.g. ``"PSI"``.
@@ -110,10 +95,8 @@ class LevelSpec:
     #: lattice (weaker levels get smaller ranks).
     strength: int
     #: The level's instances of the axiom schema (may be empty for TRUE).
+    #: A level without a ``search`` is decided by saturation over them.
     axioms: Tuple[Axiom, ...] = ()
-    #: Efficient consistency check.  Defaults to saturation over
-    #: ``axioms`` when they are all co-free; must be given otherwise.
-    check: Optional[Callable[[History], bool]] = None
     #: Extra whole-order constraint (bounded staleness); None for levels
     #: fully captured by the implication schema.
     order_predicate: Optional[OrderPredicate] = None
@@ -134,16 +117,32 @@ class LevelSpec:
     description: str = ""
     #: Monitor eviction rule: ``"fresh"`` | ``"writers"`` | ``"inert"``.
     eviction: str = "inert"
-    #: The search's witness and its re-check, for levels whose ``check``
-    #: keeps one (SER, SI, PC); the online checker then keeps the witness
-    #: and re-checks it per event before searching.  None: it searches
-    #: every time.
-    witness: Optional[WitnessCheck] = None
+    #: The commit-order search that decides the level: its input's
+    #: ancestors are the closure of ``so ∪ wr`` plus the edges the level's
+    #: co-free axioms force (:meth:`forced_axioms`), and it returns the path
+    #: it found (a witness, in rows) or None.  Required for a level that
+    #: saturation cannot decide (a co-dependent axiom or an order
+    #: predicate); batch checks (:func:`search_history`) and the online
+    #: checker, on the state it maintains, decide every level that names
+    #: one by it.
+    search: Optional[Search] = None
+    #: ``place(rows, summaries)``: a ``search`` path given in row indices
+    #: of ``summaries`` as a :class:`Placement`, with the rows it leaves
+    #: out (the last ones) placed after it in row order, when the search's
+    #: step conditions hold along it; None otherwise.  For searches over
+    #: ``so ∪ wr`` alone (SER, SI, PC): the online checker then keeps the
+    #: witness and re-checks it per event before searching.  None: it
+    #: searches every time.
+    place: Optional[Callable[[Sequence[int], DenseSummaries], Optional[Placement]]] = None
 
     def derived_causal_extensibility(self) -> bool:
         if self.causally_extensible is not None:
             return self.causally_extensible
         return self.order_predicate is None and all(a.co_free for a in self.axioms)
+
+    def forced_axioms(self) -> Tuple[Axiom, ...]:
+        """The co-free axioms, whose forced edges a ``search`` respects."""
+        return tuple(axiom for axiom in self.axioms if axiom.co_free)
 
 
 class _SpecLevel(IsolationLevel):
@@ -178,22 +177,31 @@ def register_spec(spec: LevelSpec) -> IsolationLevel:
             f"level {spec.name!r}: unknown eviction rule {spec.eviction!r}; "
             f"expected one of {EVICTION_RULES}"
         )
-    check = spec.check
-    if check is None:
+    if spec.search is None:
         if not all(a.co_free for a in spec.axioms):
-            raise ValueError(
-                f"level {spec.name!r} has co-dependent axioms and no explicit check"
-            )
+            raise ValueError(f"level {spec.name!r} has co-dependent axioms and no search")
         if spec.order_predicate is not None:
-            raise ValueError(
-                f"level {spec.name!r} has an order predicate and no explicit check"
-            )
-        from .saturation import satisfies_by_saturation
+            raise ValueError(f"level {spec.name!r} has an order predicate and no search")
+    elif spec.place is not None and spec.forced_axioms():
+        raise ValueError(
+            f"level {spec.name!r}: a placed witness is re-checked on so ∪ wr alone, "
+            f"so its search cannot have co-free axioms"
+        )
+    axioms = spec.axioms
+    if spec.search is not None:
 
-        axioms = spec.axioms
+        def check(history: History) -> bool:
+            return search_history(history, spec) is not None
 
-        def check(history: History, _axioms: Tuple[Axiom, ...] = axioms) -> bool:
-            return satisfies_by_saturation(history, _axioms)
+    elif axioms:
+
+        def check(history: History) -> bool:
+            return satisfies_by_saturation(history, axioms)
+
+    else:  # saturation over no axioms would only test so ∪ wr for a cycle
+
+        def check(history: History) -> bool:
+            return history.is_so_wr_acyclic()
 
     level = _SpecLevel(spec, check)
     key = spec.name.upper()
@@ -208,6 +216,35 @@ def register_spec(spec: LevelSpec) -> IsolationLevel:
     add_aliases(spec.name, spec.aliases)
     _SPECS[key] = spec
     return level
+
+
+def search_history(history: History, spec: LevelSpec) -> Optional[Tuple[TxnId, ...]]:
+    """The path ``spec``'s search finds on ``history``, as transaction ids,
+    or None.
+
+    The dense input's ancestors are the closure of ``so ∪ wr`` plus the
+    edges ``spec``'s co-free axioms force (:meth:`LevelSpec.forced_axioms`):
+    the matrix of the saturation state cached on the history
+    (:func:`satisfies_by_saturation`), or the history's causal matrix when
+    there are none.  A cyclic closure admits no commit order and is not
+    searched.
+    """
+    if spec.search is None:
+        raise ValueError(f"level {spec.name!r} names no search")
+    forced = spec.forced_axioms()
+    if forced:
+        if not satisfies_by_saturation(history, forced):
+            return None
+        matrix = history.saturation_states()[forced].matrix
+    else:
+        matrix = history.causal_matrix()
+        if not matrix.is_acyclic():
+            return None
+    path = spec.search(dense_summaries(history, matrix))
+    if path is None:
+        return None
+    nodes = matrix.nodes
+    return tuple(nodes[i] for i in path)
 
 
 def level_spec(name: str) -> LevelSpec:

@@ -20,29 +20,40 @@ and memoizes failing states on ``(committed set, committed-writer
 sequence)`` — the writer sequence is exactly the information future
 at-commit predicates may consult, so the memo key is sound.
 
-The search runs on the dense indexing of the history's cached
-:class:`~repro.core.bitrel.RelationMatrix`; enabledness is one
-word-parallel mask test against the ``so ∪ wr`` closure, widened with the
-saturation-forced direct edges (direct predecessors suffice: every
-reachable committed set is downward-closed, so ancestor- and
-direct-predecessor-completeness coincide).
+Every search is a function of one dense input, a
+:class:`~repro.isolation.summaries.DenseSummaries` whose ``ancestors`` are
+the closure the search must respect: here the closure of ``so ∪ wr`` plus
+the saturation-forced edges.  Enabledness is one word-parallel mask test
+against it.  Every committed set the search reaches is downward closed, so
+on those sets the closure enables exactly the candidates that the ``so ∪
+wr`` ancestors plus the direct forced predecessors would.  Which edges
+those are is the level's to say: a batch check builds the input with
+:func:`~repro.isolation.registry.search_history` from the level's spec and
+the saturation state cached on the history, and the online checker passes
+the matrix of the saturation state it maintains instead.
 
 All three searches (this one, SER's and the SI/PC interval search) run on
 one loop, :func:`first_path`: a depth-first search whose stack is an
 explicit list, one candidate iterator per state on the current path, so a
 history's length costs heap rather than interpreter recursion.  The rows
-the path took are the search's witness when it succeeds.
+the path took are the search's witness when it succeeds.  Each search
+starts from the empty state, where ``init`` (the one transaction without
+ancestors) is the only candidate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Callable, Hashable, Iterator, List, Optional, Set, Tuple
 
-from ..core.events import INIT_TXN, TxnId
 from ..core.history import History
-from .axioms import AXIOMS_BY_LEVEL, Axiom
-from .saturation import satisfies_by_saturation
-from .summaries import DenseSummaries, dense_summaries
+from .base import get_level
+from .registry import level_spec, search_history
+from .summaries import DenseSummaries
+
+#: A dense search: the rows of the path it finds through its input (the
+#: witness), or None when there is none.
+Search = Callable[[DenseSummaries], Optional[List[int]]]
 
 #: An at-commit predicate: ``check(i, writer_seq)`` is True when committing
 #: transaction index ``i`` right after the committed-writer sequence
@@ -56,7 +67,6 @@ Expand = Callable[[Hashable], Iterator[Tuple[int, Hashable]]]
 
 def first_path(
     root: Hashable,
-    root_path: Sequence[int],
     expand: Expand,
     done: Callable[[Hashable], bool],
 ) -> Optional[List[int]]:
@@ -66,10 +76,10 @@ def first_path(
     one candidate iterator per state on the current path.  A state whose
     candidates are exhausted is memoized as failed and never expanded
     again; a child is tested against ``done`` before the memo, as a
-    recursive search tests on entry.  The returned list is ``root_path``
-    followed by the row of every step taken; None when no path exists.
+    recursive search tests on entry.  The returned list holds the row of
+    every step taken; None when no path exists.
     """
-    path = list(root_path)
+    path: List[int] = []
     if done(root):
         return path
     failed: Set[Hashable] = set()
@@ -80,7 +90,8 @@ def first_path(
         if step is None:
             failed.add(states.pop())
             frames.pop()
-            path.pop()
+            if states:  # the root took no step
+                path.pop()
             continue
         row, state = step
         if done(state):
@@ -94,59 +105,31 @@ def first_path(
     return None
 
 
-def path_transactions(history: History, path: Optional[List[int]]) -> Optional[Tuple[TxnId, ...]]:
-    """A search path in row indices of ``history.causal_matrix()``, as
-    transaction ids (None stays None)."""
-    if path is None:
-        return None
-    nodes = history.causal_matrix().nodes
-    return tuple(nodes[i] for i in path)
-
-
-def _commit_order_search(
-    history: History,
-    co_free_axioms: Tuple[Axiom, ...],
-    make_check: Callable[[DenseSummaries], CommitCheck],
-) -> Optional[List[int]]:
-    """A total co extending ``so ∪ wr`` ∪ forced edges that passes ``check``.
-
-    Returns it as row indices of ``history.causal_matrix()``, or None.
-    """
-    # The co-free part first: forced edges + acyclicity, served from the
-    # history's cached saturation state, whose fired edges are then every
-    # forced edge.  Doubles as the base-acyclic gate.
-    if not satisfies_by_saturation(history, co_free_axioms):
-        return None
-
-    matrix = history.causal_matrix()
-    n = len(matrix)
-    summaries = dense_summaries(history, matrix)
+def _commit_order_search(summaries: DenseSummaries, check: CommitCheck) -> Optional[List[int]]:
+    """A total co extending ``summaries``' ancestors that passes ``check``,
+    in row indices, or None."""
+    ancestors = summaries.ancestors
     writes_of = summaries.writes_of
-
-    preds = list(summaries.ancestors)
-    for t2, t1 in history.saturation_states()[co_free_axioms].fired_edges:
-        preds[matrix.index_of(t1)] |= 1 << matrix.index_of(t2)
-
-    check = make_check(summaries)
+    n = len(ancestors)
     full = (1 << n) - 1
 
     def placements(state):
         committed, writer_seq = state
         for i in range(n):
-            if committed >> i & 1 or preds[i] & ~committed:
+            if committed >> i & 1 or ancestors[i] & ~committed:
                 continue
             if not check(i, writer_seq):
                 continue
             next_seq = writer_seq + (i,) if writes_of[i] else writer_seq
             yield i, (committed | (1 << i), next_seq)
 
-    # init is an ancestor of everything, so it commits first; it writes the
-    # initial value of every variable and heads the writer sequence.
-    init = matrix.index_of(INIT_TXN)
-    initial_seq = (init,) if writes_of[init] else ()
-    return first_path(
-        (1 << init, initial_seq), (init,), placements, lambda state: state[0] == full
-    )
+    return first_path((0, ()), placements, lambda state: state[0] == full)
+
+
+def psi_search(summaries: DenseSummaries) -> Optional[List[int]]:
+    """PSI's commit-order search; ``summaries``' ancestors must include the
+    edges the Causal axiom forces."""
+    return _commit_order_search(summaries, _psi_check(summaries))
 
 
 def satisfies_psi(history: History) -> bool:
@@ -164,10 +147,10 @@ def satisfies_psi(history: History) -> bool:
     ``t4`` must satisfy ``co[t2] < co[t1]`` — i.e. no x-writer may sit
     between the read's source and the latest conflicting writer.
     """
-    return _commit_order_search(history, AXIOMS_BY_LEVEL["CC"], _make_psi_check) is not None
+    return get_level("PSI").satisfies(history)
 
 
-def _make_psi_check(summaries: DenseSummaries) -> CommitCheck:
+def _psi_check(summaries: DenseSummaries) -> CommitCheck:
     reads_of = summaries.reads_of
     write_mask = summaries.write_mask
 
@@ -194,6 +177,12 @@ def _make_psi_check(summaries: DenseSummaries) -> CommitCheck:
     return check
 
 
+def bounded_staleness_search(summaries: DenseSummaries, k: int) -> Optional[List[int]]:
+    """BS-k's commit-order search; ``summaries``' ancestors must include
+    the edges the Read Committed axiom forces."""
+    return _commit_order_search(summaries, _bs_check(summaries, k))
+
+
 def satisfies_bounded_staleness(history: History, k: int = 3) -> bool:
     """Whether ``history`` satisfies bounded staleness with bound ``k``.
 
@@ -207,13 +196,16 @@ def satisfies_bounded_staleness(history: History, k: int = 3) -> bool:
     """
     if k < 1:
         raise ValueError(f"staleness bound must be >= 1, got {k}")
-    order = _commit_order_search(
-        history, AXIOMS_BY_LEVEL["RC"], lambda summaries: _make_bs_check(summaries, k)
+    if k == 3:
+        return get_level("BS-3").satisfies(history)
+    # Every BS-k has BS-3's axioms; only the count in the search differs.
+    spec = replace(
+        level_spec("BS-3"), search=lambda summaries: bounded_staleness_search(summaries, k)
     )
-    return order is not None
+    return search_history(history, spec) is not None
 
 
-def _make_bs_check(summaries: DenseSummaries, k: int) -> CommitCheck:
+def _bs_check(summaries: DenseSummaries, k: int) -> CommitCheck:
     reads_of = summaries.reads_of
     write_mask = summaries.write_mask
 

@@ -20,23 +20,24 @@ hides its writes (§2.2.1); a pending one exposes them like a committed one,
 so committing changes no verdict — the online checker relies on that to
 skip the search on a commit.
 
-The search runs on the dense indexing of the history's cached
-:class:`~repro.core.bitrel.RelationMatrix`: the committed set is one int
-bitmask, and a transaction is enabled iff ``ancestors_mask(t) & ~committed``
-is zero — a single word-parallel test against the maintained ``so ∪ wr``
-closure (valid because every committed set the search reaches is
-closure-downward-closed, so ancestor- and direct-predecessor-completeness
-coincide).  No per-check adjacency or predecessor map is rebuilt.
+The search is a function of one dense input
+(:class:`~repro.isolation.summaries.DenseSummaries`), whose ``ancestors``
+are the ``so ∪ wr`` closure: the committed set is one int bitmask, and a
+transaction is enabled iff ``ancestors[t] & ~committed`` is zero — a
+single word-parallel test (valid because every committed set the search
+reaches is closure-downward-closed, so ancestor- and
+direct-predecessor-completeness coincide).  No per-check adjacency or
+predecessor map is rebuilt.  :func:`satisfies_ser` and :func:`ser_witness`
+build that input from a history's cached matrix; the online checker reads
+it off the matrix and summaries it maintains.
 
 The search is iterative (:func:`~repro.isolation.search.first_path`), and
-the path it took is its witness: a commit order, cached on the history
-(``History.witnesses``) so that :func:`ser_witness` after
-:func:`satisfies_ser` searches once.  :func:`place_ser` re-runs the
-search's step conditions along a given order, in one pass, and returns the
-order as a :class:`SerPlacement`, which the online checker keeps: once an
-order passes, an event can only break the conditions at the transaction it
-touches, so the placement re-checks each event there, with one ``bisect``
-and one dict lookup.
+the path it took is its witness: a commit order.  :func:`place_ser`
+re-runs the search's step conditions along a given order, in one pass, and
+returns the order as a :class:`SerPlacement`, which the online checker
+keeps: once an order passes, an event can only break the conditions at the
+transaction it touches, so the placement re-checks each event there, with
+one ``bisect`` and one dict lookup.
 """
 
 from __future__ import annotations
@@ -45,20 +46,22 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.events import INIT_TXN, TxnId
+from ..core.events import TxnId
 from ..core.history import History
-from .search import first_path, path_transactions
-from .summaries import DenseSummaries, dense_summaries
+from .base import get_level
+from .registry import level_spec, search_history
+from .search import first_path
+from .summaries import DenseSummaries
 
 
 def satisfies_ser(history: History) -> bool:
-    """Whether ``history`` is serializable.
+    """Whether ``history`` is serializable: the registered ``SER`` level.
 
     Runs on ``history.causal_matrix()`` — callers that already maintain
-    the ``so ∪ wr`` closure (the online checker) seed it via
-    ``History.adopt_causal_matrix`` so no from-scratch build happens here.
+    the ``so ∪ wr`` closure seed it via ``History.adopt_causal_matrix`` so
+    no from-scratch build happens here.
     """
-    return ser_path(history) is not None
+    return get_level("SER").satisfies(history)
 
 
 def ser_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
@@ -67,25 +70,14 @@ def ser_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
     Every transaction appears once, ``init`` first.  The order extends
     ``so ∪ wr`` and passes the SER axiom (``axioms.axioms_hold``).
     """
-    return path_transactions(history, ser_path(history))
+    return search_history(history, level_spec("SER"))
 
 
-def ser_path(history: History) -> Optional[List[int]]:
-    """The search's commit order in row indices of ``history.causal_matrix()``,
-    or None; searched once per history."""
-    witnesses = history.witnesses()
-    if "SER" not in witnesses:
-        witnesses["SER"] = _search(history)
-    return witnesses["SER"]  # type: ignore[return-value]
-
-
-def _search(history: History) -> Optional[List[int]]:
-    matrix = history.causal_matrix()
-    if not matrix.is_acyclic():
-        return None
-
-    n = len(matrix)
-    ancestors, reads_of, writes_of, _write_mask, num_vars = dense_summaries(history, matrix)
+def ser_search(summaries: DenseSummaries) -> Optional[List[int]]:
+    """The SER search's commit order in row indices of ``summaries``, or
+    None when no order passes."""
+    ancestors, reads_of, writes_of, _write_mask, num_vars = summaries
+    n = len(ancestors)
     full = (1 << n) - 1
 
     def placements(state):
@@ -106,16 +98,10 @@ def _search(history: History) -> Optional[List[int]]:
                 next_writer = last_writer
             yield i, (committed | (1 << i), next_writer)
 
-    # init commits first and is the initial last-writer of every variable.
-    init = matrix.index_of(INIT_TXN)
-    root = (1 << init, tuple(init for _ in range(num_vars)))
-    return first_path(root, (init,), placements, lambda state: state[0] == full)
-
-
-def recheck_ser(order: Sequence[int], summaries: DenseSummaries) -> bool:
-    """Whether committing in ``order`` passes the search's step conditions
-    (:func:`place_ser`)."""
-    return place_ser(order, summaries) is not None
+    # init, the only candidate at the root, becomes the last writer of
+    # every variable.
+    root = (0, (-1,) * num_vars)
+    return first_path(root, placements, lambda state: state[0] == full)
 
 
 def place_ser(order: Sequence[int], summaries: DenseSummaries) -> Optional["SerPlacement"]:

@@ -29,19 +29,18 @@ The search interleaves start/commit actions and memoizes failing states on
 ``(started, committed, last-writer map)`` — polynomial for a fixed number of
 sessions by the same frontier argument as the SER checker.
 
-Like the SER checker, the search runs on the dense indexing of the
-history's cached :class:`~repro.core.bitrel.RelationMatrix`: ``started``
-and ``committed`` are int bitmasks, start-eligibility is one word-parallel
-``ancestors_mask(t) & ~committed`` test against the maintained closure, and
-first-committer-wins is a write-footprint bitmask intersection over the
-active set.  No per-check adjacency or predecessor map is rebuilt.
+Like the SER checker, the search is a function of one dense input
+(:class:`~repro.isolation.summaries.DenseSummaries`) whose ``ancestors``
+are the ``so ∪ wr`` closure: ``started`` and ``committed`` are int
+bitmasks, start-eligibility is one word-parallel ``ancestors[t] &
+~committed`` test, and first-committer-wins is a write-footprint bitmask
+intersection over the active set.  No per-check adjacency or predecessor
+map is rebuilt.
 
 The search is iterative (:func:`~repro.isolation.search.first_path`), and
 the path it took is its witness: a start/commit schedule, in which each
 transaction appears twice, first where it starts and then where it
-commits.  The schedule is cached on the history (``History.witnesses``),
-so :func:`si_witness` after :func:`satisfies_si` searches once, and
-:func:`schedule_commit_order` reads the commit order off it.
+commits.  :func:`schedule_commit_order` reads the commit order off it.
 :func:`place_si` and :func:`place_pc` re-run the search's step conditions
 along a given schedule, in one pass, and return it as a
 :class:`SchedulePlacement`, which the online checker keeps and re-checks
@@ -55,25 +54,29 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bitrel import iter_bits
-from ..core.events import INIT_TXN, TxnId
+from ..core.events import TxnId
 from ..core.history import History
-from .search import first_path, path_transactions
-from .summaries import DenseSummaries, dense_summaries
+from .base import get_level
+from .registry import level_spec, search_history
+from .search import first_path
+from .summaries import DenseSummaries
 
 
 def satisfies_si(history: History) -> bool:
-    """Whether ``history`` satisfies Snapshot Isolation.
+    """Whether ``history`` satisfies Snapshot Isolation: the registered
+    ``SI`` level.
 
     Runs on ``history.causal_matrix()`` — callers that already maintain
-    the ``so ∪ wr`` closure (the online checker) seed it via
-    ``History.adopt_causal_matrix`` so no from-scratch build happens here.
+    the ``so ∪ wr`` closure seed it via ``History.adopt_causal_matrix`` so
+    no from-scratch build happens here.
     """
-    return si_path(history) is not None
+    return get_level("SI").satisfies(history)
 
 
 def satisfies_pc(history: History) -> bool:
-    """Whether ``history`` satisfies Prefix Consistency (SI minus Conflict)."""
-    return pc_path(history) is not None
+    """Whether ``history`` satisfies Prefix Consistency (SI minus Conflict):
+    the registered ``PC`` level."""
+    return get_level("PC").satisfies(history)
 
 
 def si_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
@@ -84,7 +87,7 @@ def si_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
     (:func:`schedule_commit_order`) extends ``so ∪ wr`` and passes the SI
     axioms (``axioms.axioms_hold``).
     """
-    return path_transactions(history, si_path(history))
+    return search_history(history, level_spec("SI"))
 
 
 def pc_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
@@ -92,7 +95,7 @@ def pc_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
 
     Shaped as :func:`si_witness`'s; writers of a common variable may overlap.
     """
-    return path_transactions(history, pc_path(history))
+    return search_history(history, level_spec("PC"))
 
 
 def schedule_commit_order(schedule: Sequence[TxnId]) -> Tuple[TxnId, ...]:
@@ -107,33 +110,21 @@ def schedule_commit_order(schedule: Sequence[TxnId]) -> Tuple[TxnId, ...]:
     return tuple(order)
 
 
-def si_path(history: History) -> Optional[List[int]]:
-    """The SI search's schedule in row indices of ``history.causal_matrix()``,
-    or None; searched once per history."""
-    return _schedule(history, first_committer_wins=True)
+def si_search(summaries: DenseSummaries) -> Optional[List[int]]:
+    """The SI search's schedule in row indices of ``summaries``, or None
+    when no schedule passes."""
+    return _interval_search(summaries, first_committer_wins=True)
 
 
-def pc_path(history: History) -> Optional[List[int]]:
-    """The PC search's schedule in row indices, or None (see :func:`si_path`)."""
-    return _schedule(history, first_committer_wins=False)
+def pc_search(summaries: DenseSummaries) -> Optional[List[int]]:
+    """The PC search's schedule in row indices, or None (see
+    :func:`si_search`)."""
+    return _interval_search(summaries, first_committer_wins=False)
 
 
-def _schedule(history: History, first_committer_wins: bool) -> Optional[List[int]]:
-    """The search's schedule in row indices, searched once per history."""
-    key = "SI" if first_committer_wins else "PC"
-    witnesses = history.witnesses()
-    if key not in witnesses:
-        witnesses[key] = _interval_search(history, first_committer_wins)
-    return witnesses[key]  # type: ignore[return-value]
-
-
-def _interval_search(history: History, first_committer_wins: bool) -> Optional[List[int]]:
-    matrix = history.causal_matrix()
-    if not matrix.is_acyclic():
-        return None
-
-    n = len(matrix)
-    ancestors, reads_of, writes_of, write_mask, num_vars = dense_summaries(history, matrix)
+def _interval_search(summaries: DenseSummaries, first_committer_wins: bool) -> Optional[List[int]]:
+    ancestors, reads_of, writes_of, write_mask, num_vars = summaries
+    n = len(ancestors)
     full = (1 << n) - 1
 
     def actions(state):
@@ -166,21 +157,9 @@ def _interval_search(history: History, first_committer_wins: bool) -> Optional[L
                 continue
             yield i, (started | (1 << i), committed, last_writer)
 
-    init = matrix.index_of(INIT_TXN)
-    root = (1 << init, 1 << init, tuple(init for _ in range(num_vars)))
-    return first_path(root, (init, init), actions, lambda state: state[1] == full)
-
-
-def recheck_si(schedule: Sequence[int], summaries: DenseSummaries) -> bool:
-    """Whether the SI search's step conditions hold along ``schedule``
-    (:func:`place_si`)."""
-    return place_si(schedule, summaries) is not None
-
-
-def recheck_pc(schedule: Sequence[int], summaries: DenseSummaries) -> bool:
-    """Whether the PC search's step conditions hold along ``schedule``
-    (:func:`place_pc`)."""
-    return place_pc(schedule, summaries) is not None
+    # init, the only candidate at the root, starts and commits first.
+    root = (0, 0, (-1,) * num_vars)
+    return first_path(root, actions, lambda state: state[1] == full)
 
 
 def place_si(schedule: Sequence[int], summaries: DenseSummaries) -> Optional["SchedulePlacement"]:

@@ -1,18 +1,19 @@
-"""Shared dense per-transaction summaries for the commit-order searches.
+"""The dense input of the commit-order searches.
 
-The SER, SI/PC and PSI/BS-k checkers run on the dense indexing of the
-history's cached :class:`~repro.core.bitrel.RelationMatrix` and need the
-same pre-computation: ancestor bitmasks for enabledness, per-transaction
-read lists (variable index, wr-source index), write lists, and
-write-footprint bitmasks.  Extracted here so the checkers cannot drift
-apart.
+The SER, SI/PC and PSI/BS-k searches are functions of one
+:class:`DenseSummaries` on the dense indexing of a
+:class:`~repro.core.bitrel.RelationMatrix`: ancestor bitmasks for
+enabledness, per-transaction read lists (variable index, wr-source index),
+write lists, and write-footprint bitmasks.  The ancestors are the closure
+the search must respect: ``so ∪ wr`` for SER, SI and PC, and ``so ∪ wr``
+plus the edges the co-free axioms force for PSI and BS-k.
 
 Variables are numbered in sorted-name order.  :func:`dense_summaries`
-builds the summaries from a whole history; :class:`LiveSummaries` keeps
-the same summaries up to date one trace event at a time for the online
-checker, which seeds them onto the histories it materialises
-(``History.adopt_summaries``) so that a search does not rebuild them from
-the whole prefix.  Both live here so the layout is decided in one place.
+builds the input from a whole history, for batch callers;
+:class:`LiveSummaries` keeps the same rows up to date one trace event at a
+time for the online checker, which reads them in place over a matrix it
+maintains (:meth:`LiveSummaries.view`).  Both live here so the layout is
+decided in one place.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from ..core.history import History
 class DenseSummaries(NamedTuple):
     """Per-transaction summaries on a matrix's dense indexing."""
 
-    #: ``so ∪ wr`` ancestor bitmask per transaction index.
+    #: Ancestor bitmask per transaction index, in the closure the search
+    #: respects.
     ancestors: List[int]
     #: (variable index, wr-source transaction index) per external read.
     reads_of: List[Tuple[Tuple[int, int], ...]]
@@ -39,14 +41,11 @@ class DenseSummaries(NamedTuple):
 
 
 def dense_summaries(history: History, matrix: RelationMatrix) -> DenseSummaries:
-    """The summaries of ``history`` on ``matrix``'s indexing.
+    """The summaries of ``history`` on ``matrix``'s indexing, built from
+    every log; the ancestors are ``matrix``'s closure rows.
 
-    Returns the summaries seeded with ``History.adopt_summaries`` when the
-    history carries them; otherwise builds them from every log.
+    ``matrix`` must be over exactly the history's transactions.
     """
-    seeded = history.adopted_summaries()
-    if seeded is not None:
-        return seeded  # type: ignore[return-value]
     n = len(matrix)
     variables: Set[str] = set()
     raw_reads: List[List[Tuple[str, int]]] = [[] for _ in range(n)]
@@ -81,7 +80,7 @@ class LiveSummaries:
     every other read or write names a header variable, so numbering the
     header's variables in sorted order is exactly the numbering
     :func:`dense_summaries` picks.  Only the ancestor masks are not kept
-    here: :meth:`snapshot` reads them off the matrix it is given.
+    here: :meth:`view` reads them off the matrix it is given.
     """
 
     __slots__ = ("_var_index", "_reads", "_writes", "_masks")
@@ -138,29 +137,15 @@ class LiveSummaries:
     def view(self, matrix: RelationMatrix) -> DenseSummaries:
         """The current summaries, read in place: no list is copied.
 
-        ``matrix`` must be over the same rows.  Valid only until the next
-        event changes the summaries or the matrix; the online checker
-        re-checks its witnesses on it.
+        ``matrix`` must be over the same rows; its closure rows are the
+        ancestors.  Valid only until the next event changes the summaries
+        or the matrix; the online checker searches and re-checks its
+        witnesses on it.
         """
         return DenseSummaries(
             ancestors=matrix.ancestor_rows,
             reads_of=self._reads,
             writes_of=self._writes,
             write_mask=self._masks,
-            num_vars=len(self._var_index),
-        )
-
-    def snapshot(self, matrix: RelationMatrix) -> DenseSummaries:
-        """The current summaries, with ``matrix``'s ancestor masks.
-
-        ``matrix`` must be over the same rows (the checker passes a copy of
-        its maintained matrix).  The lists are copies, so later events do
-        not change a snapshot already seeded onto a history.
-        """
-        return DenseSummaries(
-            ancestors=list(matrix.ancestor_rows),
-            reads_of=list(self._reads),
-            writes_of=list(self._writes),
-            write_mask=list(self._masks),
             num_vars=len(self._var_index),
         )

@@ -20,6 +20,7 @@ import sys
 import time
 from typing import Callable, Iterable, Optional
 
+from ..trace.format import TraceFormatError
 from ..trace.stream import stream_trace
 from .core import Monitor, MonitorConfig, MonitorReport
 
@@ -42,7 +43,9 @@ def monitor_stream(
     """Monitor one JSONL trace stream to EOF; returns the final report.
 
     ``stats_every = N`` emits a stats line every N events via ``emit``
-    (default: stderr).
+    (default: stderr).  An event the monitor rejects raises its
+    :class:`~repro.trace.format.TraceFormatError`, of the same type,
+    prefixed with ``event #N:``.
     """
     if emit is None:
         emit = lambda line: print(line, file=sys.stderr, flush=True)
@@ -51,7 +54,10 @@ def monitor_stream(
     started = time.perf_counter()
     count = 0
     for event in events:
-        monitor.feed(event)
+        try:
+            monitor.feed(event)
+        except TraceFormatError as err:
+            raise type(err)(f"event #{count}: {err}") from None
         count += 1
         if stats_every and count % stats_every == 0:
             emit(_stats_line(monitor, count, time.perf_counter() - started))

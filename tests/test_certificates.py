@@ -23,20 +23,15 @@ from repro.core import History, HistoryBuilder
 from repro.dpor import explore_ce
 from repro.engine.harness import run_program, workload_program
 from repro.engine.mvcc import engine_configs, get_engine_config
-from repro.isolation import AXIOMS_BY_LEVEL, ORDER_PREDICATES, get_level
+from repro.isolation import AXIOMS_BY_LEVEL, ORDER_PREDICATES, get_level, level_spec
 from repro.isolation.axioms import axioms_hold
 from repro.isolation.reference import topological_orders
-from repro.isolation.search import (
-    _commit_order_search,
-    _make_bs_check,
-    _make_psi_check,
-    path_transactions,
-)
-from repro.isolation.serializability import recheck_ser, ser_witness
+from repro.isolation.registry import search_history
+from repro.isolation.serializability import place_ser, ser_witness
 from repro.isolation.snapshot import (
     pc_witness,
-    recheck_pc,
-    recheck_si,
+    place_pc,
+    place_si,
     schedule_commit_order,
     si_witness,
 )
@@ -44,7 +39,7 @@ from repro.isolation.summaries import dense_summaries
 from repro.trace import fuzz_history, gadget_histories
 
 WITNESSES = {"SER": ser_witness, "SI": si_witness, "PC": pc_witness}
-RECHECKS = {"SER": recheck_ser, "SI": recheck_si, "PC": recheck_pc}
+PLACE = {"SER": place_ser, "SI": place_si, "PC": place_pc}
 
 
 def commit_order(level, witness):
@@ -73,10 +68,11 @@ def is_certificate(history, level, order):
 
 
 def recheck(history, level, witness):
-    """``level``'s re-check of ``witness`` on ``history``'s own summaries."""
+    """Whether ``level``'s one-pass re-check places ``witness`` on
+    ``history``'s own summaries."""
     matrix = history.causal_matrix()
     rows = [matrix.index_of(tid) for tid in witness]
-    return RECHECKS[level](rows, dense_summaries(history, matrix))
+    return PLACE[level](rows, dense_summaries(history, matrix)) is not None
 
 
 def so_wr_successors(history):
@@ -168,16 +164,6 @@ class TestWitnesses:
                 assert sorted(witness) == sorted(order + order), name
         assert found >= 50
 
-    def test_witness_comes_from_the_verdicts_search(self):
-        """The check caches its path: the witness costs no second search."""
-        history = fresh(CORPUS[0][1])
-        assert get_level("SER").satisfies(history)
-        cached = dict(history.witnesses())
-        assert ser_witness(history) == tuple(
-            history.causal_matrix().node_at(i) for i in cached["SER"]
-        )
-        assert history.witnesses() == cached
-
 
 class TestCommitOrderSearchPath:
     """PSI's and BS-3's search keeps its path on the same stack: on success
@@ -186,14 +172,11 @@ class TestCommitOrderSearchPath:
 
     @pytest.mark.parametrize("level", ["PSI", "BS-3"])
     def test_path_is_a_certificate(self, level):
-        co_free, make_check = {
-            "PSI": (AXIOMS_BY_LEVEL["CC"], _make_psi_check),
-            "BS-3": (AXIOMS_BY_LEVEL["RC"], lambda summaries: _make_bs_check(summaries, 3)),
-        }[level]
+        spec = level_spec(level)
         found = 0
         for name, history in CORPUS:
             history = fresh(history)
-            order = path_transactions(history, _commit_order_search(history, co_free, make_check))
+            order = search_history(history, spec)
             assert (order is not None) == get_level(level).satisfies(history), name
             if order is None:
                 continue
@@ -218,7 +201,7 @@ class TestRechecks:
             for order in topological_orders(so_wr_successors(history)):
                 rows = [matrix.index_of(tid) for tid in order]
                 holds = axioms_hold(history, order, AXIOMS_BY_LEVEL["SER"])
-                assert recheck_ser(rows, summaries) == holds, order
+                assert (place_ser(rows, summaries) is not None) == holds, order
                 accepted += holds
                 rejected += not holds
         assert accepted and rejected
@@ -251,13 +234,13 @@ class TestRechecks:
         matrix = history.causal_matrix()
         summaries = dense_summaries(history, matrix)
         init, writer, reader = (matrix.index_of(tid) for tid in matrix.nodes)
-        assert recheck_ser([init], summaries)
-        assert recheck_ser([init, writer], summaries)
-        assert not recheck_ser([init, reader], summaries)
-        assert not recheck_ser([init, writer, writer], summaries)
-        assert recheck_si([init, init], summaries)
-        assert recheck_si([init, init, writer, writer], summaries)
-        assert not recheck_si([init, init, writer], summaries)
+        assert place_ser([init], summaries) is not None
+        assert place_ser([init, writer], summaries) is not None
+        assert place_ser([init, reader], summaries) is None
+        assert place_ser([init, writer, writer], summaries) is None
+        assert place_si([init, init], summaries) is not None
+        assert place_si([init, init, writer, writer], summaries) is not None
+        assert place_si([init, init, writer], summaries) is None
 
 
 class TestCorruptedWitnesses:

@@ -32,6 +32,22 @@ def _trace_with_negative_index(field):
     return "".join(json.dumps(obj) + "\n" for obj in (header, begin, event))
 
 
+def _trace_with_repeated_commit():
+    """A header and four events, the fourth (event #3) committing ``s0/0``
+    a second time."""
+    header = {"type": "header", "format": "repro-trace", "version": 1, "variables": ["x"]}
+    events = [
+        {"type": "begin", "session": "s0", "txn": 0},
+        {"type": "write", "session": "s0", "txn": 0, "var": "x", "value": 1},
+        {"type": "commit", "session": "s0", "txn": 0},
+        {"type": "commit", "session": "s0", "txn": 0},
+    ]
+    return "".join(json.dumps(obj) + "\n" for obj in (header, *events))
+
+
+REPEATED_COMMIT = "event #3: event for already-complete transaction t(s0,0)"
+
+
 @pytest.fixture
 def program_file(tmp_path):
     path = tmp_path / "demo.txn"
@@ -88,6 +104,20 @@ class TestCompare:
         for level in ("RC", "RA", "CC", "SI", "SER"):
             assert level in out
         assert "anomalies" in out
+
+
+class TestLevels:
+    def test_search_levels_are_marked(self, capsys):
+        """``(+search)`` marks exactly the levels decided by a search."""
+        code = main(["levels"])
+        out = capsys.readouterr().out
+        assert code == 0
+        table = out.split("\n\n")[1].splitlines()[2:]  # below the header and its rule
+        rows = {line.split()[1]: line for line in table}
+        assert len(rows) == 14
+        marked = {name for name, line in rows.items() if "(+search)" in line}
+        assert marked == {"BS-3", "PSI", "PC", "SI", "SER"}
+        assert "(+search)" not in rows["CC"]
 
 
 class TestBench:
@@ -276,6 +306,16 @@ class TestRecordReplay:
                 main(["replay", str(bad), *extra])
             assert exc.value.code == f"error: {bad}: line 2: unknown event type {kind!r}"
 
+    def test_replay_names_the_rejected_event(self, tmp_path):
+        """An event-order error names its event on the batch and the online
+        path alike."""
+        bad = tmp_path / "commit.jsonl"
+        bad.write_text(_trace_with_repeated_commit())
+        for extra in ([], ["--online"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["replay", str(bad), *extra])
+            assert exc.value.code == f"error: {bad}: {REPEATED_COMMIT}"
+
     @pytest.mark.parametrize("field", ["txn", "from"])
     def test_replay_rejects_negative_indices_at_decode(self, tmp_path, field):
         """A negative index is a format error on its line, on both paths,
@@ -427,6 +467,13 @@ class TestMonitor:
             self._pipe(monkeypatch, _trace_with_event_type(kind),
                        ["monitor", "--stdin", "--isolation", "RC"])
         assert exc.value.code == f"error: line 2: unknown event type {kind!r}"
+
+    @pytest.mark.parametrize("stale", ["keep", "assume-fresh"])
+    def test_event_order_error_names_the_event(self, monkeypatch, stale):
+        with pytest.raises(SystemExit) as exc:
+            self._pipe(monkeypatch, _trace_with_repeated_commit(),
+                       ["monitor", "--stdin", "--isolation", "RC", "--stale", stale])
+        assert exc.value.code == f"error: {REPEATED_COMMIT}"
 
     @pytest.mark.parametrize("field", ["txn", "from"])
     @pytest.mark.parametrize("stale", ["keep", "assume-fresh"])

@@ -27,10 +27,19 @@ from repro.isolation import (
     level_spec,
     level_specs,
     registered_levels,
+    satisfies_bounded_staleness,
+    satisfies_pc,
+    satisfies_psi,
     satisfies_reference,
+    satisfies_ser,
+    satisfies_si,
+    witness_commit_order,
 )
-from repro.isolation.registry import EVICTION_RULES
+from repro.isolation.axioms import AXIOMS_BY_LEVEL, ORDER_PREDICATES, bounded_staleness_predicate
+from repro.isolation.registry import EVICTION_RULES, LevelSpec, register_spec
 from repro.isolation.liveness import eviction_policy
+from repro.isolation.search import psi_search
+from repro.isolation.serializability import place_ser
 from repro.monitor import MonitorConfig, monitor_stream
 from repro.trace import (
     SEPARATIONS,
@@ -65,6 +74,24 @@ class TestRegistry:
         chain = ("RC", "RA", "CC", "SI", "SER")
         for weaker, stronger in zip(chain, chain[1:]):
             assert get_level(weaker).is_weaker_than(get_level(stronger))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(axioms=AXIOMS_BY_LEVEL["SER"]),
+            dict(axioms=AXIOMS_BY_LEVEL["RC"], order_predicate=ORDER_PREDICATES["BS-3"]),
+            dict(axioms=AXIOMS_BY_LEVEL["PSI"], search=psi_search, place=place_ser),
+        ],
+        ids=["co-dependent", "order-predicate", "placed-with-forced-edges"],
+    )
+    def test_register_spec_rejects_what_nothing_decides(self, fields):
+        """A level saturation cannot decide must name a search, and a placed
+        witness is re-checked on so ∪ wr alone, so its search may respect no
+        forced edges.  Nothing is registered."""
+        with pytest.raises(ValueError):
+            register_spec(LevelSpec(name="UNDECIDED", strength=99, **fields))
+        with pytest.raises(KeyError):
+            get_level("UNDECIDED")
 
     def test_incomparable_pairs(self):
         for a, b in (("PSI", "PC"), ("BS-3", "SI"), ("SESSION", "RC")):
@@ -124,6 +151,27 @@ class TestNewCheckersAgainstReference:
             fast = get_level(level).satisfies(history)
             ref = satisfies_reference(history, level)
             assert fast == ref, f"seed {seed} at {level}: fast={fast} reference={ref}"
+
+    def test_public_checkers_decide_their_levels(self):
+        checkers = {
+            "PSI": satisfies_psi,
+            "PC": satisfies_pc,
+            "SI": satisfies_si,
+            "SER": satisfies_ser,
+            "BS-3": satisfies_bounded_staleness,
+        }
+        for name, history in gadget_histories().items():
+            for level, satisfies in checkers.items():
+                assert satisfies(history) == satisfies_reference(history, level), (name, level)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_staleness_bound_other_than_three(self, k):
+        """BS-k searches with BS-3's forced edges and its own bound."""
+        predicate = bounded_staleness_predicate(k)
+        for seed in range(25):
+            history = fuzz_history(seed, sessions=3, txns_per_session=2, abort_rate=0.2)
+            ref = witness_commit_order(history, AXIOMS_BY_LEVEL["BS-3"], predicate) is not None
+            assert satisfies_bounded_staleness(history, k) == ref, f"seed {seed} at BS-{k}"
 
 
 #: Gadget traces, plus fuzzed traces with aborts, local reads and repeat

@@ -21,11 +21,11 @@ from repro.engine.harness import run_program, workload_program
 from repro.engine.mvcc import get_engine_config
 from repro.isolation import AXIOMS_BY_LEVEL, IncrementalSaturation, get_level
 from repro.isolation.axioms import axioms_hold
-from repro.isolation.registry import _SpecLevel
 from repro.isolation.snapshot import schedule_commit_order
 from repro.isolation.summaries import dense_summaries
 from repro.monitor import Monitor, MonitorConfig
 from repro.trace import Trace, TraceEvent, TraceFormatError, fuzz_history, gadget_traces
+from repro.trace.format import TraceReplayer
 
 LEVELS = DEFAULT_LEVELS
 
@@ -326,15 +326,16 @@ INERT_KINDS = {"begin", "commit", "local read", "repeat write", "write-free abor
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """Counts ``satisfies`` calls per level name."""
+    """Counts online searches per level name, at ``OnlineChecker._search``,
+    the one call through which an online decision searches."""
     calls = Counter()
-    satisfies = _SpecLevel.satisfies
+    search = OnlineChecker._search
 
-    def counting(level, history):
-        calls[level.name] += 1
-        return satisfies(level, history)
+    def counting(checker, name):
+        calls[name] += 1
+        return search(checker, name)
 
-    monkeypatch.setattr(_SpecLevel, "satisfies", counting)
+    monkeypatch.setattr(OnlineChecker, "_search", counting)
     return calls
 
 
@@ -457,16 +458,54 @@ class TestSkipRules:
         assert first is not None and first.index == 21
 
 
+class TestSearchesRunOnTheCheckersState:
+    """PSI and BS-3 search on the matrix of the saturation state of their
+    co-free axioms (CC's, RC's), which the checker steps per event: no
+    online search rebuilds that saturation or builds a prefix history."""
+
+    @pytest.fixture(scope="class")
+    def hotkeys(self):
+        """A 177-event serializable-engine stream, hotkeys 2×20."""
+        trace = run_program(
+            workload_program("hotkeys", 2, 20, 3), get_engine_config("serializable"), seed=3
+        ).trace
+        assert len(trace) == 177
+        return trace
+
+    @pytest.mark.parametrize("level", ("PSI", "BS-3"))
+    def test_no_rebuild_and_no_history(self, level, hotkeys, search_calls, monkeypatch):
+        expected = [
+            get_level(level).satisfies(hotkeys.prefix(length).to_history(strict=False))
+            for length in range(1, len(hotkeys) + 1)
+        ]
+        built = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                built[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for owner, name in ((IncrementalSaturation, "from_history"), (TraceReplayer, "history")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        checker = OnlineChecker.from_trace(hotkeys, levels=(level,))
+        verdicts = [checker.feed(event).verdicts[level] for event in hotkeys.events]
+        assert verdicts == expected
+        assert search_calls[level] > 50
+        assert built == Counter()
+
+
 def assert_summaries_maintained(checker):
-    """The summaries seeded on the checker's history equal the ones built
-    from scratch on a fresh history over a copy of the same matrix.  Both
-    number variables in sorted-name order, so equality is exact."""
-    seeded = checker.history().adopted_summaries()
-    fresh = checker.replayer.history()
-    matrix = checker.causal_matrix.copy()
-    fresh.adopt_causal_matrix(matrix)
-    assert fresh.adopted_summaries() is None
-    assert seeded == dense_summaries(fresh, matrix)
+    """The maintained summaries, read over the causal matrix and over every
+    saturation state's matrix, equal a cold build on the prefix history
+    over the same matrix.  Both number variables in sorted-name order, so
+    equality is exact; the saturation states' rows must be the causal
+    matrix's, which the search levels' input reads them on."""
+    prefix = checker.replayer.history()
+    for matrix in (checker.causal_matrix, *(s.matrix for s in checker.saturation_states())):
+        assert matrix.nodes == checker.causal_matrix.nodes
+        assert checker._summaries.view(matrix) == dense_summaries(prefix, matrix)
 
 
 class TestMaintainedSummaries:
@@ -494,7 +533,7 @@ class TestMaintainedSummaries:
         trace = Trace.from_history(fuzz_history(0, abort_rate=0.25))
         checker = OnlineChecker.from_trace(trace, levels=("RC", "RA", "CC"))
         checker.replay(trace)
-        assert checker.history().adopted_summaries() is None
+        assert checker._summaries is None
 
     @pytest.mark.parametrize("level", ("SER", "SI", "PSI", "BS-3"))
     def test_evicting_stream(self, level, search_calls, monkeypatch):
@@ -557,7 +596,7 @@ class TestMaintainedSummaries:
         assert checker.evict([TxnId("w", 0)]) == 1
         assert_summaries_maintained(checker)
         reader = checker.causal_matrix.index_of(TxnId("r", 0))
-        assert len(checker.history().adopted_summaries().reads_of[reader]) == 1
+        assert len(checker._summaries.view(checker.causal_matrix).reads_of[reader]) == 1
 
 
 class TestApiSurface:

@@ -27,6 +27,7 @@ from repro.engine.harness import run_program, workload_program
 from repro.engine.mvcc import engine_configs, get_engine_config
 from repro.isolation.serializability import place_ser
 from repro.isolation.snapshot import place_pc, place_si
+from repro.isolation.summaries import dense_summaries
 from repro.monitor import Monitor, MonitorConfig
 from repro.trace import Trace, fuzz_history
 
@@ -38,14 +39,21 @@ def fields(placement):
     return {name: getattr(placement, name) for name in type(placement).__slots__}
 
 
+def cold_summaries(checker):
+    """The search summaries of the checker's prefix, built cold over its
+    maintained matrix."""
+    return dense_summaries(checker.replayer.history(), checker.causal_matrix)
+
+
 def cold_placement(checker, level):
-    """The checker's witness for ``level``, placed by the one pass on the
-    checker's current summaries; None when it keeps no witness."""
+    """The checker's witness for ``level``, placed by the one pass on a
+    cold build of the checker's current summaries; None when it keeps no
+    witness."""
     witness = checker.witness(level)
     if witness is None:
         return None
     index = checker.causal_matrix.index_of
-    summaries = checker.history().adopted_summaries()
+    summaries = cold_summaries(checker)
     placement = PLACE[level]([index(tid) for tid in witness], summaries)
     assert placement is not None, "a kept witness must pass the one pass"
     return placement
@@ -86,7 +94,7 @@ def compare_stream(trace, level, monitor=None):
         if before is None or kind is None:
             continue
         step = per_event_step(before, checker, event, var_index)
-        full = PLACE[level](before.rows(), checker.history().adopted_summaries())
+        full = PLACE[level](before.rows(), cold_summaries(checker))
         assert step == (full is not None), context
         if step:
             assert fields(before) == fields(full), context
