@@ -516,7 +516,7 @@ class History:
 
     def maximal_in_causal_order(self, tid: TxnId) -> bool:
         """``t`` is (so ∪ wr)+-maximal in h (paper §3.2)."""
-        return self.causal_matrix().descendants_mask(tid) == 0
+        return not self.causal_matrix().has_successor(tid)
 
     # -- cross-process shipping ---------------------------------------------------
 

@@ -20,11 +20,12 @@ The wire format here is plain tuples of ints, strings and event payloads:
   transaction ids are always ``0..n-1``, so the count suffices);
 * the **causal closure**, when the sender had one cached: the packed
   ``so ∪ wr`` :meth:`~repro.core.bitrel.RelationMatrix.closure_rows` —
-  three ``n``-bit ints per transaction.  The closure is a *fixpoint* the
-  receiver would otherwise recompute from scratch on its first causality
-  query (DPOR work items hit one immediately), while on the wire it is a
-  few dozen small ints; shipping it makes a decoded work item as cheap to
-  step as the original.  ``None`` when the sender never built one;
+  two ``n``-bit ints per transaction (its one-step predecessors and its
+  ancestors).  The closure is a *fixpoint* the receiver would otherwise
+  recompute from scratch on its first causality query (DPOR work items hit
+  one immediately), while on the wire it is a few dozen small ints;
+  shipping it makes a decoded work item as cheap to step as the original.
+  ``None`` when the sender never built one;
 * for ordered histories, the order ``<`` as ``(txn_index, pos)`` pairs.
 
 ``History``, ``OrderedHistory`` and ``Event`` install ``__reduce__`` hooks
@@ -144,7 +145,9 @@ def decode_items(items: List[Tuple[int, OrderedHistoryWire]]) -> List[Tuple[int,
 _FRAME_HEADER = struct.Struct(">2sBBI")
 
 FRAME_MAGIC = b"RW"
-FRAME_VERSION = 1
+#: Bumped whenever a frame's payload layout changes (version 2: the
+#: closure travels as ``(pred, anc)`` rows).
+FRAME_VERSION = 2
 
 #: Hard ceiling on one frame's payload.  A coordinator/worker pair never
 #: legitimately approaches this (a frame holds one seed, or one time

@@ -265,7 +265,7 @@ class IncrementalSaturation:
 
     def _fire(self, t2: TxnId, t1: TxnId) -> None:
         matrix = self.matrix
-        if matrix.successors_mask(t2) >> matrix.index_of(t1) & 1:
+        if matrix.predecessors_mask(t1) >> matrix.index_of(t2) & 1:
             # Already a one-step edge: fired before, or a permanent so/wr
             # edge that a retraction of this writer must not delete.
             return
@@ -330,7 +330,7 @@ class IncrementalSaturation:
     def fork(self) -> "IncrementalSaturation":
         """An independent state to extend for a child history.
 
-        O(n): the matrix's three row lists are copied
+        O(n): the matrix's two row lists are copied
         (:meth:`~repro.core.bitrel.RelationMatrix.copy`) and the
         pending-instance list is copied shallowly (instances are immutable
         tuples).  The original is untouched, so a parent node's state can

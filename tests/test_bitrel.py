@@ -5,7 +5,9 @@ Two halves:
 * property-style cross-checks of :class:`RelationMatrix` against the naive
   dict-of-set DFS reference on random DAGs and cyclic graphs, including
   incremental ``add_edge`` vs. full-recompute equivalence, on small graphs
-  and on universes around the 64-bit word of a row;
+  and on universes around the 64-bit word of a row, and random
+  interleavings of all four mutators (``add_node``, ``add_edge``,
+  ``remove_nodes``, ``retract_edges``) growing through 64 and 128 nodes;
 * "single construction per check" regressions: the saturation, SER, SI and
   DPOR call sites must reuse a history's cached matrix instead of
   rebuilding adjacency per query (tracked via ``RelationMatrix.full_builds``).
@@ -394,7 +396,7 @@ class TestCompaction:
             assert matrix.is_acyclic() == reference.is_acyclic()
 
     def test_retract_after_compaction_keeps_baked_paths(self):
-        """Compaction bakes through-paths into succ, so a later retraction
+        """Compaction bakes through-paths into pred, so a later retraction
         must not lose them (the monitor's abort-after-eviction scenario).
         Per the GC gate's contract, the retractable edge arrives *after*
         the compaction — everything present at compaction is permanent.
@@ -461,3 +463,124 @@ class TestWordBoundary:
         assert restored.transitive_closure() == matrix.transitive_closure()
         restored.add_edge(64, 0)
         assert restored.reaches(64, 0) and not matrix.reaches(64, 0)
+
+    def test_from_closure_rejects_other_arities(self):
+        matrix = RelationMatrix(range(3), [(0, 1), (1, 2)])
+        pred, anc = matrix.closure_rows()
+        for rows in ((pred, pred, anc), (anc,)):
+            with pytest.raises(ValueError, match=r"two row tuples \(pred, anc\)"):
+                RelationMatrix.from_closure(matrix.nodes, rows)
+
+
+class TestOneRowUpdate:
+    """An edge into a node with no successor updates that node's row only."""
+
+    def test_edge_into_the_newest_node_costs_one_row(self):
+        matrix = RelationMatrix(range(130), [(i, i + 1) for i in range(129)])
+        matrix.add_node(130)
+        width = (131 + 63) >> 6
+        before = RelationMatrix.word_ops
+        assert matrix.add_edge(129, 130)
+        assert RelationMatrix.word_ops - before == width == 3
+        assert matrix.ancestors(130) == set(range(130))
+
+    def test_edge_into_an_inner_node_costs_its_descendants(self):
+        """Into node 100 of the chain: its row and its 30 descendants' rows."""
+        matrix = RelationMatrix(range(131), [(i, i + 1) for i in range(130)])
+        matrix.add_node("x")
+        before = RelationMatrix.word_ops
+        assert matrix.add_edge("x", 100)
+        assert RelationMatrix.word_ops - before == (1 + 30) * 3
+        assert all(matrix.reaches("x", d) for d in range(100, 131))
+        assert not matrix.reaches("x", 99)
+
+
+class TestMutatorInterleavings:
+    """Random interleavings of the four mutators against a naive reference.
+
+    The reference is a dict-of-set adjacency.  It models ``remove_nodes`` as
+    restricted reachability: the survivors' new one-step edges are the old
+    closure between survivors, which is what the matrix promotes its
+    one-step rows to.  ``retract_edges`` only retracts edges first added
+    since the last compaction, the streaming monitor's GC gate.  After every
+    operation, every pair's ``reaches``, every node's ancestors, descendants
+    and successor bit, ``is_acyclic`` and ``closure_rows`` (against a
+    from-scratch build) must agree.
+    """
+
+    @staticmethod
+    def check(matrix, nodes, adj):
+        assert list(matrix.nodes) == nodes
+        closure = naive_closure(adj)
+        for a in nodes:
+            assert matrix.descendants(a) == closure[a]
+            assert matrix.ancestors(a) == {b for b in nodes if a in closure[b]}
+            assert matrix.has_successor(a) == bool(adj[a])
+            for b in nodes:
+                assert matrix.reaches(a, b) == (b in closure[a]), (a, b)
+        assert matrix.is_acyclic() == naive_acyclic(adj)
+        edges = [(a, b) for a in nodes for b in adj[a]]
+        rows = matrix.closure_rows()
+        assert rows == RelationMatrix(nodes, edges).closure_rows()
+        restored = RelationMatrix.from_closure(nodes, rows)
+        assert all(restored.has_successor(a) == bool(adj[a]) for a in nodes)
+
+    def random_edge(self, rng, nodes):
+        kind = rng.random()
+        if kind < 0.6:  # into the newest node, as so/wr edges are
+            return rng.choice(nodes), nodes[-1]
+        if kind < 0.85:  # forward
+            i, j = sorted(rng.sample(range(len(nodes)), 2))
+            return nodes[i], nodes[j]
+        if kind < 0.95:  # back
+            i, j = sorted(rng.sample(range(len(nodes)), 2))
+            return nodes[j], nodes[i]
+        node = rng.choice(nodes)  # self-loop
+        return node, node
+
+    @pytest.mark.parametrize("start,stop", [(58, 68), (122, 132)], ids=["64", "128"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_interleavings_across_the_row_width(self, start, stop, seed):
+        rng = random.Random(seed * 1000 + start)
+        nodes = list(range(start))
+        adj = {a: set() for a in nodes}
+        for a in nodes[1:]:
+            for b in rng.sample(range(a), min(2, a)):
+                adj[b].add(a)
+        matrix = RelationMatrix(nodes, [(a, b) for a in nodes for b in adj[a]])
+        fired = []
+        crossed = set()
+        fresh = start
+        self.check(matrix, nodes, adj)
+        while len(nodes) < stop:
+            op = rng.random()
+            if op < 0.3:
+                assert matrix.add_node(fresh) == len(nodes)
+                nodes.append(fresh)
+                adj[fresh] = set()
+                fresh += 1
+            elif op < 0.8:
+                src, dst = self.random_edge(rng, nodes)
+                if dst not in adj[src]:
+                    fired.append((src, dst))
+                    adj[src].add(dst)
+                matrix.add_edge(src, dst)
+            elif op < 0.9:
+                if fired:
+                    dead = rng.sample(fired, rng.randrange(1, len(fired) + 1))
+                    matrix.retract_edges(dead)
+                    for src, dst in dead:
+                        adj[src].discard(dst)
+                    fired = [edge for edge in fired if edge not in dead]
+            elif op < 0.95:
+                drop = set(rng.sample(nodes, rng.randrange(1, 4)))
+                closure = naive_closure(adj)
+                nodes = [a for a in nodes if a not in drop]
+                adj = {a: closure[a] - drop for a in nodes}
+                matrix = matrix.remove_nodes(drop)
+                fired = []  # everything present at compaction is permanent
+            else:
+                matrix = matrix.copy()
+            crossed.add(len(nodes))
+            self.check(matrix, nodes, adj)
+        assert {start + 5, start + 6, start + 7} <= crossed
