@@ -81,10 +81,26 @@ one.  A writer's abort, an eviction and a fresh search witness instead
 re-run the search's step conditions in one pass over the matrix's ancestor
 rows and the summaries' rows, which builds the placement: no history is
 built and nothing is copied.  A passing re-check is a witness for exactly
-the state the search would see, so the verdict is the search's.  Only a
-failing re-check, or no witness, searches, and the path that search took
-replaces the old witness; a violated verdict drops it.  PSI and BS-3 keep
-no witness and search every time.
+the state the search would see, so the verdict is the search's.
+
+A failing re-check repairs the witness.  The event changed the steps of
+one transaction (and, by a new ``wr`` edge, of its descendants, all placed
+after it), so the witness's prefix before the earliest step the event can
+have broken still passes: before ``t`` (for SI/PC, before ``t`` starts)
+for a first write or the abort of writer ``t``, and for an external read
+of ``x`` by ``t`` from ``s`` also before the first writer of ``x`` placed
+after ``s``, past which no completion lets ``t`` read from ``s``.  The
+level's search walks that prefix with its own step conditions and searches
+from the state reached; only if that finds no path does it search from
+the root, sharing the failed-state memo
+(:func:`~repro.isolation.search.repaired_path`).  A state with no
+completion has none however it was reached, so the verdict is exactly the
+from-root search's, and a violation expands no state twice.  With no
+witness the search starts at the root.  The path found replaces the old
+witness; a violated verdict drops it.  :attr:`OnlineChecker.decisions`
+counts each decision as ``rechecked``, ``repaired``, ``fell_back`` or
+``searched``.  PSI and BS-3 keep no witness and search from the root every
+time.
 
 The abort exception
 -------------------
@@ -101,7 +117,7 @@ re-close); write-free aborts don't touch the states at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.bitrel import RelationMatrix
 from ..core.events import INIT_TXN, Event, TxnId
@@ -117,6 +133,10 @@ from ..trace.format import Trace, TraceEvent, TraceFormatError, TraceHeader, Tra
 #: paper's chain; any registered level name is accepted — ``repro levels``
 #: lists them all).
 DEFAULT_LEVELS: Tuple[str, ...] = ("RC", "RA", "CC", "SI", "SER")
+
+#: How a search level's decision can go, as counted by
+#: :attr:`OnlineChecker.decisions`.
+DECISIONS: Tuple[str, ...] = ("rechecked", "repaired", "fell_back", "searched")
 
 #: :meth:`OnlineChecker.replay` prunes settled readers once the un-pruned
 #: reads-of-var entries reach twice what the last prune left, and at least
@@ -305,6 +325,7 @@ class OnlineChecker:
         #: the RA premise and the RC fast path in O(1).
         self._sources_read: Dict[TxnId, Set[TxnId]] = {}
         self._facts = _PrefixFacts(self)
+        self._decisions: Dict[str, int] = dict.fromkeys(DECISIONS, 0)
 
     # -- constructors ----------------------------------------------------------
 
@@ -334,12 +355,12 @@ class OnlineChecker:
         # violation); see the module docstring.
         inert = True
         retracts = False
-        # The re-check of a kept witness at the event's own transaction;
-        # None after a writer's abort, which re-checks it in one pass.
-        recheck: Optional[Callable[[Placement], bool]] = None
+        # Where the event touches the summaries: its transaction's row,
+        # and for a read or first write the variable's index and the
+        # read's source row; a kept witness is re-checked there.
+        row = var = src = -1
         if event.op == "begin":
-            order = self._replayer.session_order(tid.session)
-            prev = order[-2] if len(order) > 1 else INIT_TXN
+            prev = self._replayer.session_predecessor(tid.session)
             self._causal.add_node(tid)
             self._causal.add_edge(prev, tid)
             for state in states:
@@ -359,9 +380,8 @@ class OnlineChecker:
                 state.external_read(facts, added, source, writers, prior)
             if summaries is not None:
                 index = self._causal.index_of
-                reader, src = index(tid), index(source)
-                var = summaries.external_read(reader, event.var, src)
-                recheck = lambda placement: placement.external_read(reader, var, src)
+                row, src = index(tid), index(source)
+                var = summaries.external_read(row, event.var, src)
         elif event.op == "write":
             writers = self._writers_of_var.setdefault(event.var, [])
             if tid not in writers:
@@ -373,7 +393,6 @@ class OnlineChecker:
                 if summaries is not None:
                     row = self._causal.index_of(tid)
                     var = summaries.first_write(row, event.var)
-                    recheck = lambda placement: placement.first_write(row, var)
         elif event.op == "abort" and self._replayer.wrote_any(tid):
             inert = False
             retracts = True
@@ -385,7 +404,8 @@ class OnlineChecker:
             for state in states:
                 state.abort_writer(facts, tid)
             if summaries is not None:
-                summaries.abort_writer(self._causal.index_of(tid))
+                row = self._causal.index_of(tid)
+                summaries.abort_writer(row)
         self._history = None
         previous = self._verdicts
         verdicts: Dict[str, bool] = {}
@@ -402,7 +422,7 @@ class OnlineChecker:
                 # The old history is a prefix of the new one: still violated.
                 verdicts[name] = False
             else:
-                verdicts[name] = self._decide(name, recheck)
+                verdicts[name] = self._decide(name, event.op, row, var, src)
         newly = tuple(
             name for name in self.levels if not verdicts[name] and previous.get(name, True)
         )
@@ -417,48 +437,78 @@ class OnlineChecker:
             self._steps.append(step)
         return step
 
-    def _decide(self, name: str, recheck: Optional[Callable[[Placement], bool]]) -> bool:
-        """Decide search level ``name`` on the current prefix.
+    def _decide(self, name: str, op: str, row: int, var: int, src: int) -> bool:
+        """Decide search level ``name`` on the current prefix, after an
+        external read, a first write or a writer's abort (``op``) at row
+        ``row`` (of variable index ``var``, from row ``src``).
 
         Re-check the level's kept witness first, with the transactions
-        begun since placed last: at the event's own transaction
-        (``recheck``), or in one pass over the maintained matrix and
-        summaries after a writer's abort (``recheck`` None).  Only when
-        that fails, or there is none, search.  The search's witness,
-        placed in one pass, replaces the old one; a violation drops it.
+        begun since placed last: at the event's own transaction, or in one
+        pass over the maintained matrix and summaries after a writer's
+        abort.  When that fails, cut the witness before the earliest step
+        the event can have broken and search from that prefix, then from
+        the root; with no witness, search from the root.  The search's
+        witness, placed in one pass, replaces the old one; a violation
+        drops it.  Each decision is counted in :attr:`decisions`.
         """
         spec = self._searches[name][0]
         placement = self._placements.pop(name, None)
+        prefix: Sequence[int] = ()
         if placement is not None:
             placement.grow(len(self._causal))
-            if recheck is None:
-                placement = spec.place(placement.rows(), self._summaries.view(self._causal))
-            elif not recheck(placement):
-                placement = None
-            if placement is not None:
-                self._placements[name] = placement
+            if op == "read":
+                kept = placement if placement.external_read(row, var, src) else None
+            elif op == "write":
+                kept = placement if placement.first_write(row, var) else None
+            else:
+                kept = spec.place(placement.rows(), self._summaries.view(self._causal))
+            if kept is not None:
+                self._placements[name] = kept
+                self._decisions["rechecked"] += 1
                 return True
-        path = self._search(name)
+            cut = placement.read_cut(row, var, src) if op == "read" else placement.cut_before(row)
+            prefix = placement.rows()[:cut]
+        path = self._search(name, prefix)
+        # A path through the whole prefix is the repair's: the search from
+        # the root skips the prefix's state, which failed.
+        if not prefix:
+            self._decisions["searched"] += 1
+        elif path is not None and path[: len(prefix)] == prefix:
+            self._decisions["repaired"] += 1
+        else:
+            self._decisions["fell_back"] += 1
         if path is not None and spec.place is not None:
             placement = spec.place(path, self._summaries.view(self._causal))
             if placement is not None:
                 self._placements[name] = placement
         return path is not None
 
-    def _search(self, name: str) -> Optional[List[int]]:
+    def _search(self, name: str, prefix: Sequence[int] = ()) -> Optional[List[int]]:
         """The path level ``name``'s search finds on the current prefix, or
         None: the one call through which an online decision searches.
 
         It reads the summaries over the matrix whose closure the search
         respects: ``_causal``, or the level's saturation state's, whose
-        cycle admits no commit order and is not searched.
+        cycle admits no commit order and is not searched.  A non-empty
+        ``prefix``, the intact head of the level's broken witness, is
+        tried first; only levels that keep a witness pass one.
         """
         spec, state = self._searches[name]
         if state is None:
-            return spec.search(self._summaries.view(self._causal))
+            view = self._summaries.view(self._causal)
+            return spec.search(view, prefix) if prefix else spec.search(view)
         if not state.consistent:
             return None
         return spec.search(self._summaries.view(state.matrix))
+
+    @property
+    def decisions(self) -> Dict[str, int]:
+        """How the search levels' decisions went so far, by name:
+        ``rechecked`` (the kept witness passed its re-check), ``repaired``
+        (it failed, and the search found a witness through its intact
+        prefix), ``fell_back`` (no completion of that prefix, so the search
+        ran from the root) and ``searched`` (no witness was kept)."""
+        return dict(self._decisions)
 
     def replay(self, trace: Trace) -> List[OnlineStep]:
         """Feed every event of ``trace``; returns one step per event.
@@ -576,8 +626,7 @@ class OnlineChecker:
                 raise ValueError(f"cannot evict unknown/already-evicted {tid!r}")
             if not self._replayer.is_complete(tid):
                 raise ValueError(f"cannot evict pending transaction {tid!r}")
-            order = self._replayer.session_order(tid.session)
-            if order and order[-1] == tid:
+            if self._replayer.session_latest(tid.session) == tid:
                 raise ValueError(f"cannot evict session-latest transaction {tid!r}")
         self._replayer.forget(drop)
         nodes = self._causal.nodes

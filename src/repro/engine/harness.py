@@ -37,7 +37,14 @@ from ..lang.program import Program, ProgramBuilder, Transaction
 from ..semantics.executor import AbortOp, CommitOp, ReadOp, execute
 from ..trace.format import Trace
 from .locks import TransactionAborted, TxnKey, WouldBlock
-from .mvcc import EngineConfig, EngineStats, MVCCEngine, SEEDED_BUGS, engine_configs
+from .mvcc import (
+    SEEDED_BUGS,
+    EngineConfig,
+    EngineStats,
+    MVCCEngine,
+    engine_configs,
+    get_engine_config,
+)
 
 #: How often an engine-aborted transaction is retried before giving up.
 DEFAULT_MAX_RETRIES = 8
@@ -532,12 +539,9 @@ def run_difftest(
     ``hotkeys``.  ``on_run`` is invoked once per finished run — the CLI
     uses it to write trace files.
     """
-    all_configs = engine_configs()
     if configs is None:
-        chosen = list(all_configs.values())
+        chosen = list(engine_configs().values())
     else:
-        from .mvcc import get_engine_config
-
         chosen = [get_engine_config(name) for name in configs]
     seeds = list(seeds)
     reports: Dict[str, ConfigReport] = {}

@@ -177,14 +177,17 @@ SEEDED_BUGS: Dict[str, SeededBug] = {
 }
 
 
+#: Every named configuration, honest ones first, then the bugged variants;
+#: built once, as configs are frozen.
+_NAMED_CONFIGS: Dict[str, EngineConfig] = {
+    **HONEST_CONFIGS,
+    **{cfg.name: cfg for cfg in (bug.config() for bug in SEEDED_BUGS.values())},
+}
+
+
 def engine_configs(include_bugs: bool = True) -> Dict[str, EngineConfig]:
     """All named configurations: honest ones, plus bugged variants."""
-    configs = dict(HONEST_CONFIGS)
-    if include_bugs:
-        for bug in SEEDED_BUGS.values():
-            cfg = bug.config()
-            configs[cfg.name] = cfg
-    return configs
+    return dict(_NAMED_CONFIGS if include_bugs else HONEST_CONFIGS)
 
 
 def get_engine_config(name: str) -> EngineConfig:
@@ -194,13 +197,13 @@ def get_engine_config(name: str) -> EngineConfig:
     (``serializable+no_read_locks``), or a bare bug name
     (``no_read_locks``).
     """
-    configs = engine_configs()
-    if name in configs:
-        return configs[name]
+    if name in _NAMED_CONFIGS:
+        return _NAMED_CONFIGS[name]
     if name in SEEDED_BUGS:
-        return SEEDED_BUGS[name].config()
+        bug = SEEDED_BUGS[name]
+        return _NAMED_CONFIGS[f"{bug.base}+{bug.name}"]
     raise EngineError(
-        f"unknown engine config {name!r}; try one of {sorted(configs)} "
+        f"unknown engine config {name!r}; try one of {sorted(_NAMED_CONFIGS)} "
         f"or a bug name in {sorted(SEEDED_BUGS)}"
     )
 

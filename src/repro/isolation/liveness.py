@@ -108,8 +108,7 @@ class EvictionPolicy:
         replayer = view.replayer
         if not replayer.is_complete(tid):
             return True
-        order = replayer.session_order(tid.session)
-        if order and order[-1] == tid:
+        if replayer.session_latest(tid.session) == tid:
             return True
         if tid in view.wr_sources:
             return True

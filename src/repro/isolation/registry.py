@@ -52,7 +52,10 @@ class Placement(Protocol):
 
     Once a witness passes the search's step conditions, appending an event
     can only break them at the transaction the event touches, so each
-    external read or first write is re-checked there alone.
+    external read or first write is re-checked there alone.  When the
+    re-check fails, the witness's prefix before the earliest step the
+    event can have broken still passes, and the search repairs the witness
+    from it.
     """
 
     def rows(self) -> Sequence[int]:
@@ -69,6 +72,17 @@ class Placement(Protocol):
     def first_write(self, writer: int, var: int) -> bool:
         """Whether the witness still passes once row ``writer`` first
         writes the variable with index ``var``; records it if so."""
+
+    def cut_before(self, row: int) -> int:
+        """The length of the witness's prefix before row ``row`` is placed
+        (for a schedule: starts), which a first write or an abort by
+        ``row`` leaves intact."""
+
+    def read_cut(self, reader: int, var: int, source: int) -> int:
+        """The length of the witness's prefix that row ``reader``'s read of
+        the variable with index ``var`` from row ``source`` leaves intact
+        and does not rule out: before ``reader`` and before the first
+        writer of ``var`` placed after ``source``."""
 
 
 @dataclass(frozen=True)
@@ -131,8 +145,12 @@ class LevelSpec:
     #: out (the last ones) placed after it in row order, when the search's
     #: step conditions hold along it; None otherwise.  For searches over
     #: ``so ∪ wr`` alone (SER, SI, PC): the online checker then keeps the
-    #: witness and re-checks it per event before searching.  None: it
-    #: searches every time.
+    #: witness and re-checks it per event before searching, and when that
+    #: fails calls ``search(summaries, prefix)`` with the witness's intact
+    #: prefix (:meth:`Placement.cut_before`, :meth:`Placement.read_cut`),
+    #: which the search must try first and whose verdict must not depend
+    #: on it (:func:`~repro.isolation.search.repaired_path`).  None: it
+    #: searches from the root every time.
     place: Optional[Callable[[Sequence[int], DenseSummaries], Optional[Placement]]] = None
 
     def derived_causal_extensibility(self) -> bool:

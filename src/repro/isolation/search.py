@@ -39,12 +39,18 @@ history's length costs heap rather than interpreter recursion.  The rows
 the path took are the search's witness when it succeeds.  Each search
 starts from the empty state, where ``init`` (the one transaction without
 ancestors) is the only candidate.
+
+SER's and the SI/PC search can also repair a witness an appended event
+broke (:func:`repaired_path`): each defines one :data:`Step`, from which
+both its candidates and a walk along the old witness's intact prefix are
+built, and it searches from the state that prefix reaches before it
+searches from the empty state, with one failed-state memo for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.history import History
 from .base import get_level
@@ -64,25 +70,33 @@ CommitCheck = Callable[[int, Tuple[int, ...]], bool]
 #: candidate order.
 Expand = Callable[[Hashable], Iterator[Tuple[int, Hashable]]]
 
+#: One step of a search: the state reached by taking ``row`` from
+#: ``state``, or None when the step's conditions fail there.
+Step = Callable[[Hashable, int], Optional[Hashable]]
+
 
 def first_path(
     root: Hashable,
     expand: Expand,
     done: Callable[[Hashable], bool],
+    failed: Optional[Set[Hashable]] = None,
 ) -> Optional[List[int]]:
     """The rows of the first path from ``root`` to a state ``done`` accepts.
 
     Depth-first in ``expand``'s candidate order, with an explicit stack:
     one candidate iterator per state on the current path.  A state whose
-    candidates are exhausted is memoized as failed and never expanded
-    again; a child is tested against ``done`` before the memo, as a
-    recursive search tests on entry.  The returned list holds the row of
-    every step taken; None when no path exists.
+    candidates are exhausted is added to ``failed``, the memo of states
+    with no path, and never expanded again; a child is tested against
+    ``done`` before the memo, as a recursive search tests on entry.  Pass
+    one ``failed`` set to searches over the same input to share it.  The
+    returned list holds the row of every step taken; None when no path
+    exists.
     """
     path: List[int] = []
     if done(root):
         return path
-    failed: Set[Hashable] = set()
+    if failed is None:
+        failed = set()
     states = [root]
     frames = [expand(root)]
     while frames:
@@ -103,6 +117,41 @@ def first_path(
         states.append(state)
         frames.append(expand(state))
     return None
+
+
+def repaired_path(
+    prefix: Sequence[int],
+    root: Hashable,
+    step: Step,
+    expand: Expand,
+    done: Callable[[Hashable], bool],
+) -> Optional[List[int]]:
+    """The first path to a state ``done`` accepts, tried first through
+    ``prefix``: the rows of an old witness whose steps still hold.
+
+    ``prefix`` is walked from ``root`` with ``step``, as far as its steps
+    hold, and :func:`first_path` runs from the state reached; only if that
+    finds none does it run from ``root``, sharing the failed-state memo.
+    So a path exists iff one exists from ``root`` (a state with no path
+    has none however it was reached), and no state is expanded twice.  A
+    path that begins with the whole ``prefix`` was found through it: the
+    search from ``root`` skips the prefix's state, which failed.  With an
+    empty ``prefix`` this is :func:`first_path` from ``root``.
+    """
+    state = root
+    walked: List[int] = []
+    for row in prefix:
+        child = step(state, row)
+        if child is None:
+            break
+        walked.append(row)
+        state = child
+    failed: Set[Hashable] = set()
+    if walked:
+        path = first_path(state, expand, done, failed)
+        if path is not None:
+            return walked + path
+    return first_path(root, expand, done, failed)
 
 
 def _commit_order_search(summaries: DenseSummaries, check: CommitCheck) -> Optional[List[int]]:

@@ -37,12 +37,15 @@ re-runs the search's step conditions along a given order, in one pass, and
 returns the order as a :class:`SerPlacement`, which the online checker
 keeps: once an order passes, an event can only break the conditions at the
 transaction it touches, so the placement re-checks each event there, with
-one ``bisect`` and one dict lookup.
+one ``bisect`` and one dict lookup.  When that fails, the placement names
+how much of the order the event left intact (:meth:`SerPlacement.cut_before`,
+:meth:`SerPlacement.read_cut`), and the search repairs the order from that
+prefix before it searches from ``init``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +53,7 @@ from ..core.events import TxnId
 from ..core.history import History
 from .base import get_level
 from .registry import level_spec, search_history
-from .search import first_path
+from .search import repaired_path
 from .summaries import DenseSummaries
 
 
@@ -73,35 +76,44 @@ def ser_witness(history: History) -> Optional[Tuple[TxnId, ...]]:
     return search_history(history, level_spec("SER"))
 
 
-def ser_search(summaries: DenseSummaries) -> Optional[List[int]]:
+def ser_search(summaries: DenseSummaries, prefix: Sequence[int] = ()) -> Optional[List[int]]:
     """The SER search's commit order in row indices of ``summaries``, or
-    None when no order passes."""
+    None when no order passes.
+
+    ``prefix``, the intact head of an old commit order, is tried first
+    (:func:`~repro.isolation.search.repaired_path`); the verdict does not
+    depend on it.
+    """
     ancestors, reads_of, writes_of, _write_mask, num_vars = summaries
     n = len(ancestors)
     full = (1 << n) - 1
 
-    def placements(state):
+    def step(state, i):
         committed, last_writer = state
+        if committed >> i & 1 or ancestors[i] & ~committed:
+            return None
+        # The SER axiom: each external read must read from the latest
+        # committed writer of its variable at this point.
+        for var, src in reads_of[i]:
+            if last_writer[var] != src:
+                return None
+        if writes_of[i]:
+            updated = list(last_writer)
+            for var in writes_of[i]:
+                updated[var] = i
+            last_writer = tuple(updated)
+        return committed | (1 << i), last_writer
+
+    def placements(state):
         for i in range(n):
-            if committed >> i & 1 or ancestors[i] & ~committed:
-                continue
-            # The SER axiom: each external read must read from the latest
-            # committed writer of its variable at this point.
-            if any(last_writer[var] != src for var, src in reads_of[i]):
-                continue
-            if writes_of[i]:
-                updated = list(last_writer)
-                for var in writes_of[i]:
-                    updated[var] = i
-                next_writer = tuple(updated)
-            else:
-                next_writer = last_writer
-            yield i, (committed | (1 << i), next_writer)
+            child = step(state, i)
+            if child is not None:
+                yield i, child
 
     # init, the only candidate at the root, becomes the last writer of
     # every variable.
     root = (0, (-1,) * num_vars)
-    return first_path(root, placements, lambda state: state[0] == full)
+    return repaired_path(prefix, root, step, placements, lambda state: state[0] == full)
 
 
 def place_ser(order: Sequence[int], summaries: DenseSummaries) -> Optional["SerPlacement"]:
@@ -212,3 +224,21 @@ class SerPlacement:
             return False
         writers.insert(k, at)
         return True
+
+    def cut_before(self, row: int) -> int:
+        """How much of the order precedes ``row``: the prefix a first write
+        or an abort by ``row`` leaves intact, as it changes no step before
+        ``row``'s."""
+        return self.pos[row]
+
+    def read_cut(self, reader: int, var: int, source: int) -> int:
+        """The prefix a failed external read of ``var`` by ``reader`` from
+        ``source`` leaves intact: the order before ``reader`` and before the
+        first writer of ``var`` placed after ``source``, past which no
+        completion lets ``reader`` read from ``source``."""
+        writers = self.writers[var]
+        k = bisect_right(writers, self.pos[source])
+        cut = self.pos[reader]
+        if k < len(writers) and writers[k] < cut:
+            return writers[k]
+        return cut

@@ -44,12 +44,15 @@ commits.  :func:`schedule_commit_order` reads the commit order off it.
 :func:`place_si` and :func:`place_pc` re-run the search's step conditions
 along a given schedule, in one pass, and return it as a
 :class:`SchedulePlacement`, which the online checker keeps and re-checks
-each event against at the event's own transaction.
+each event against at the event's own transaction.  When that fails, the
+placement names how much of the schedule the event left intact, and the
+search repairs the schedule from that prefix before it searches from
+``init``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +61,7 @@ from ..core.events import TxnId
 from ..core.history import History
 from .base import get_level
 from .registry import level_spec, search_history
-from .search import first_path
+from .search import repaired_path
 from .summaries import DenseSummaries
 
 
@@ -110,56 +113,72 @@ def schedule_commit_order(schedule: Sequence[TxnId]) -> Tuple[TxnId, ...]:
     return tuple(order)
 
 
-def si_search(summaries: DenseSummaries) -> Optional[List[int]]:
+def si_search(summaries: DenseSummaries, prefix: Sequence[int] = ()) -> Optional[List[int]]:
     """The SI search's schedule in row indices of ``summaries``, or None
-    when no schedule passes."""
-    return _interval_search(summaries, first_committer_wins=True)
+    when no schedule passes.
+
+    ``prefix``, the intact head of an old schedule, is tried first
+    (:func:`~repro.isolation.search.repaired_path`); the verdict does not
+    depend on it.
+    """
+    return _interval_search(summaries, prefix, first_committer_wins=True)
 
 
-def pc_search(summaries: DenseSummaries) -> Optional[List[int]]:
+def pc_search(summaries: DenseSummaries, prefix: Sequence[int] = ()) -> Optional[List[int]]:
     """The PC search's schedule in row indices, or None (see
     :func:`si_search`)."""
-    return _interval_search(summaries, first_committer_wins=False)
+    return _interval_search(summaries, prefix, first_committer_wins=False)
 
 
-def _interval_search(summaries: DenseSummaries, first_committer_wins: bool) -> Optional[List[int]]:
+def _interval_search(
+    summaries: DenseSummaries, prefix: Sequence[int], first_committer_wins: bool
+) -> Optional[List[int]]:
     ancestors, reads_of, writes_of, write_mask, num_vars = summaries
     n = len(ancestors)
     full = (1 << n) - 1
 
-    def actions(state):
+    def step(state, i):
         started, committed, last_writer = state
-        active = started & ~committed
-        # Commit an active transaction.
-        for i in iter_bits(active):
+        bit = 1 << i
+        if started & bit:
+            if committed & bit:
+                return None
+            # Commit an active transaction.
             if writes_of[i]:
                 updated = list(last_writer)
                 for var in writes_of[i]:
                     updated[var] = i
-                next_writer = tuple(updated)
-            else:
-                next_writer = last_writer
-            yield i, (started, committed | (1 << i), next_writer)
-        # Start a new transaction whose causal predecessors have committed.
-        if first_committer_wins:
-            active_writes = 0
-            for other in iter_bits(active):
-                active_writes |= write_mask[other]
+                last_writer = tuple(updated)
+            return started, committed | bit, last_writer
+        # Start a transaction whose causal predecessors have committed.
+        if ancestors[i] & ~committed:
+            return None
+        # Snapshot reads: every external read sees the snapshot at start.
+        for var, src in reads_of[i]:
+            if last_writer[var] != src:
+                return None
+        # First-committer-wins: no overlapping writer of a common variable
+        # (SI only; PC lets conflicting writers overlap).
+        if first_committer_wins and write_mask[i]:
+            for other in iter_bits(started & ~committed):
+                if write_mask[other] & write_mask[i]:
+                    return None
+        return started | bit, committed, last_writer
+
+    def actions(state):
+        started, committed, _last_writer = state
+        # Commits of the active transactions first, then starts.
+        for i in iter_bits(started & ~committed):
+            yield i, step(state, i)
         for i in range(n):
-            if started >> i & 1 or ancestors[i] & ~committed:
-                continue
-            # Snapshot reads: every external read sees the snapshot at start.
-            if any(last_writer[var] != src for var, src in reads_of[i]):
-                continue
-            # First-committer-wins: no overlapping writer of a common
-            # variable (SI only; PC lets conflicting writers overlap).
-            if first_committer_wins and write_mask[i] & active_writes:
-                continue
-            yield i, (started | (1 << i), committed, last_writer)
+            if not started >> i & 1:
+                child = step(state, i)
+                if child is not None:
+                    yield i, child
 
     # init, the only candidate at the root, starts and commits first.
     root = (0, 0, (-1,) * num_vars)
-    return first_path(root, actions, lambda state: state[1] == full)
+    return repaired_path(prefix, root, step, actions, lambda state: state[1] == full)
 
 
 def place_si(schedule: Sequence[int], summaries: DenseSummaries) -> Optional["SchedulePlacement"]:
@@ -320,3 +339,22 @@ class SchedulePlacement:
                 return False
         writers.insert(k, at)
         return True
+
+    def cut_before(self, row: int) -> int:
+        """How much of the schedule precedes ``row``'s start: the prefix a
+        first write or an abort by ``row`` leaves intact, as it changes no
+        step before ``row`` starts."""
+        return self.start[row]
+
+    def read_cut(self, reader: int, var: int, source: int) -> int:
+        """The prefix a failed external read of ``var`` by ``reader`` from
+        ``source`` leaves intact: the schedule before ``reader`` starts and
+        before the start of the first writer of ``var`` that commits after
+        ``source``, past whose commit no completion lets ``reader`` read
+        from ``source``."""
+        writers = self.writers[var]
+        k = bisect_right(writers, self.commit[source])
+        cut = self.start[reader]
+        if k < len(writers):
+            return min(cut, self.start[self.schedule[writers[k]]])
+        return cut

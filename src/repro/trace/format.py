@@ -450,6 +450,7 @@ class TraceReplayer:
 
     def __init__(self, header: TraceHeader):
         self.header = header
+        self._variables = frozenset(header.variables)
         init = header.initial_history()
         self._logs: Dict[TxnId, List[Event]] = {INIT_TXN: list(init.txns[INIT_TXN].events)}
         self._txn_order: List[TxnId] = [INIT_TXN]
@@ -478,9 +479,16 @@ class TraceReplayer:
         """All transactions in creation order (``init`` first)."""
         return tuple(self._txn_order)
 
-    def session_order(self, session: str) -> Tuple[TxnId, ...]:
-        """The transactions begun by ``session``, in session order."""
-        return tuple(self._sessions.get(session, ()))
+    def session_latest(self, session: str) -> Optional[TxnId]:
+        """The live transaction ``session`` began last, or None: O(1)."""
+        order = self._sessions.get(session)
+        return order[-1] if order else None
+
+    def session_predecessor(self, session: str) -> TxnId:
+        """The live transaction ``session`` began before its latest one,
+        or ``init``: O(1)."""
+        order = self._sessions.get(session, ())
+        return order[-2] if len(order) > 1 else INIT_TXN
 
     def wr_source(self, eid: EventId) -> Optional[TxnId]:
         """The wr source of the given read event, if recorded."""
@@ -651,7 +659,7 @@ class TraceReplayer:
 
     def _apply_write(self, event: TraceEvent) -> Event:
         tid, log = self._open_log(event)
-        if event.var not in self.header.variables:
+        if event.var not in self._variables:
             raise TraceFormatError(f"write to undeclared variable {event.var!r}")
         added = Event(EventId(tid, len(log)), EventType.WRITE, event.var, event.value)
         log.append(added)

@@ -30,6 +30,7 @@ from repro.engine import (
     run_difftest,
     run_program,
 )
+from repro.engine import harness
 from repro.engine.harness import BUG_DEMOS, detected_level, workload_program
 from repro.lang import L, Program, Transaction, assign, read, write
 from repro.lang.expr import concat
@@ -180,6 +181,22 @@ class TestConfigs:
 
     def test_describe_mentions_the_bug(self):
         assert "BUG:stale_snapshot" in get_engine_config("stale_snapshot").describe()
+
+    def test_configs_are_built_once(self, monkeypatch):
+        """Every lookup returns the one frozen config per name, and a
+        difftest over named configs never copies the whole map."""
+        configs = engine_configs()
+        for name, config in configs.items():
+            assert get_engine_config(name) is config
+        for bug in SEEDED_BUGS.values():
+            assert get_engine_config(bug.name) is configs[f"{bug.base}+{bug.name}"]
+        assert engine_configs() == configs and engine_configs() is not configs
+        assert set(engine_configs(include_bugs=False)) == {
+            name for name, config in configs.items() if config.bug is None
+        }
+        monkeypatch.setattr(harness, "engine_configs", lambda: pytest.fail("copied"))
+        report = run_difftest(configs=["no_read_locks"], workloads=["hotkeys"], seeds=[0])
+        assert list(report.configs) == ["serializable+no_read_locks"]
 
 
 class TestScheduledRuns:

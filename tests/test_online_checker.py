@@ -331,9 +331,9 @@ def search_calls(monkeypatch):
     calls = Counter()
     search = OnlineChecker._search
 
-    def counting(checker, name):
+    def counting(checker, name, *args):
         calls[name] += 1
-        return search(checker, name)
+        return search(checker, name, *args)
 
     monkeypatch.setattr(OnlineChecker, "_search", counting)
     return calls

@@ -22,6 +22,7 @@ from repro.trace import (
     TraceEvent,
     TraceFormatError,
     TraceHeader,
+    TraceReplayer,
     adversarial_corpus,
     fuzz_history,
     fuzz_traces,
@@ -269,6 +270,32 @@ class TestReplayRules:
         trace = Trace(self.header(), [TraceEvent("begin", INIT_TXN.session, 0)])
         with pytest.raises(TraceFormatError, match="reserved"):
             trace.to_history()
+
+    def test_session_tail_accessors_match_the_session_order(self):
+        """session_latest and session_predecessor read the last two live
+        transactions of the session's order in the replayed history, before
+        and after forget drops transactions."""
+        trace = Trace.from_history(fuzz_history(3, sessions=3, txns_per_session=4))
+        replayer = TraceReplayer(trace.header)
+        sessions = {event.session for event in trace.events}
+
+        def assert_tails():
+            for session in sessions | {"never-begun"}:
+                order = replayer.history().sessions.get(session, ())
+                assert replayer.session_latest(session) == (order[-1] if order else None)
+                assert replayer.session_predecessor(session) == (
+                    order[-2] if len(order) > 1 else INIT_TXN
+                )
+
+        for event in trace.events:
+            replayer.apply(event)
+            assert_tails()
+        complete = [
+            tid for tid in replayer.transactions()
+            if tid != INIT_TXN and replayer.is_complete(tid)
+        ]
+        replayer.forget(complete[::2])
+        assert_tails()
 
     def test_prefixes_replay_cleanly(self):
         """from_history orders events so every prefix is a valid trace."""
