@@ -63,35 +63,38 @@ read, a first write or a writer's abort, and on a violated prefix-closed
 level only on a writer's abort.
 
 On such an event SER, SI and PC first re-check a witness.  Def. 2.2 is
-existential, so the path a successful search took certifies its verdict: a
-commit order for SER, a start/commit schedule for SI and PC.  The checker
-keeps it per level as a placement on the maintained matrix's rows
-(``LevelSpec.place`` builds one), with the transactions
-begun since placed last in begin order (for SI/PC start-then-commit);
+existential, so the path a successful search took certifies its verdict:
+the one interval search decides the three levels, and its path is a
+start/commit schedule, which for SER, where no two transactions overlap,
+lists each transaction once, where it starts and commits — a commit
+order.  The checker keeps it per level as a
+:class:`~repro.isolation.snapshot.SchedulePlacement` on the maintained
+matrix's rows (``LevelSpec.place`` builds one), with the transactions
+begun since started and committed last in begin order;
 :meth:`OnlineChecker.witness` reads it as transaction ids.  Before the
 event the placement passes the search's step conditions, and the event
 changes one transaction's reads or write set, so it is re-checked at that
 transaction alone, with one ``bisect`` and one dict lookup.  An external
 read of ``x`` by ``t`` from ``s`` holds iff ``s`` is the last writer of
-``x`` placed (for SI/PC: committed) before ``t`` (before ``t`` starts).  A
-first write of ``x`` by ``t`` holds iff no reader of ``x`` from the last
-writer placed (committed) before ``t`` sits after ``t`` (starts after
-``t`` commits); for SI ``t`` must also not overlap that writer or the next
-one.  A writer's abort, an eviction and a fresh search witness instead
-re-run the search's step conditions in one pass over the matrix's ancestor
-rows and the summaries' rows, which builds the placement: no history is
-built and nothing is copied.  A passing re-check is a witness for exactly
-the state the search would see, so the verdict is the search's.
+``x`` committed before ``t`` starts.  A first write of ``x`` by ``t``
+holds iff no reader of ``x`` from the last writer committed before ``t``
+starts after ``t`` commits; for SI ``t`` must also not overlap that
+writer or the next one.  A writer's abort, an eviction and a fresh search
+witness instead re-run the search's step conditions in one pass over the
+matrix's ancestor rows and the summaries' rows, which builds the
+placement: no history is built and nothing is copied.  A passing re-check
+is a witness for exactly the state the search would see, so the verdict
+is the search's.
 
 A failing re-check repairs the witness.  The event changed the steps of
 one transaction (and, by a new ``wr`` edge, of its descendants, all placed
 after it), so the witness's prefix before the earliest step the event can
-have broken still passes: before ``t`` (for SI/PC, before ``t`` starts)
-for a first write or the abort of writer ``t``, and for an external read
-of ``x`` by ``t`` from ``s`` also before the first writer of ``x`` placed
+have broken still passes: before ``t`` starts for a first write or the
+abort of writer ``t``, and for an external read of ``x`` by ``t`` from
+``s`` also before the start of the first writer of ``x`` that commits
 after ``s``, past which no completion lets ``t`` read from ``s``.  The
-level's search walks that prefix with its own step conditions and searches
-from the state reached; only if that finds no path does it search from
+level's search walks that prefix with its own step conditions and
+searches from the state reached; only if that finds no path does it search from
 the root, sharing the failed-state memo
 (:func:`~repro.isolation.search.repaired_path`).  A state with no
 completion has none however it was reached, so the verdict is exactly the
@@ -124,8 +127,9 @@ from ..core.events import INIT_TXN, Event, TxnId
 from ..core.history import History
 from ..isolation.axioms import Axiom
 from ..isolation.base import IsolationLevel, get_level
-from ..isolation.registry import LevelSpec, Placement, level_spec
+from ..isolation.registry import LevelSpec, level_spec
 from ..isolation.saturation import IncrementalSaturation
+from ..isolation.snapshot import SchedulePlacement
 from ..isolation.summaries import LiveSummaries
 from ..trace.format import Trace, TraceEvent, TraceFormatError, TraceHeader, TraceReplayer
 
@@ -302,7 +306,7 @@ class OnlineChecker:
         }
         #: Level → its witness as a placement on ``_causal``'s rows, while
         #: that level holds.
-        self._placements: Dict[str, Placement] = {}
+        self._placements: Dict[str, SchedulePlacement] = {}
         #: The searches' per-transaction summaries, on ``_causal``'s rows
         #: (every state's matrix has the same rows); kept only when some
         #: level searches.

@@ -11,14 +11,13 @@ sizes.
 The matrix maintains the **strict transitive closure in one direction**:
 each node's ancestor row, next to its one-step predecessor row and one
 mask of the nodes that have a successor.  Every ``(so ∪ wr)+`` question
-the library asks — causal past, reachability, maximality in causal order,
-acyclicity, the searches' enabledness — reads an ancestor row or that
-mask.  :meth:`_close` computes the closure from scratch with a semi-naive
-sparse fixpoint sweep, whose cost follows the edges of the relation rather
-than ``n²``; after that, :meth:`add_edge` updates the closure
-*incrementally*: adding ``u → v`` unions ``{u} ∪ anc(u)`` into the row of
-``v`` and, only when ``v`` has a successor, into the row of every
-descendant of ``v``.  Transactions are indexed in creation order and
+the library asks — causal past, reachability, acyclicity, the searches'
+enabledness — reads an ancestor row.  :meth:`_close` computes the closure
+from scratch with a semi-naive sparse fixpoint sweep, whose cost follows
+the edges of the relation rather than ``n²``; after that, :meth:`add_edge`
+updates the closure *incrementally*: adding ``u → v`` unions ``{u} ∪
+anc(u)`` into the row of ``v`` and, only when ``v`` has a successor, into
+the row of every descendant of ``v``.  Transactions are indexed in creation order and
 almost every ``so``/``wr`` edge points into the newest one, which has no
 successor yet, so such an edge updates one row.  The relations of this
 code base (``so ∪ wr`` plus forced commit-order edges) only grow, with two
@@ -61,9 +60,8 @@ class RelationMatrix:
     edges may be added at any time and the strict transitive closure is
     maintained incrementally as ancestor rows.  Ancestor, reachability and
     acyclicity queries read the maintained rows — no traversal happens at
-    query time.  Descendant queries (:meth:`descendants_mask`,
-    :meth:`descendants`, :meth:`transitive_closure`) scan the rows; only
-    tests and compatibility callers make them.
+    query time.  There are no descendant queries: nothing in the library
+    asks one, and the closure is kept in the ancestor direction only.
     """
 
     # Row i of ``_pred`` holds node i's one-step predecessors and row i of
@@ -168,16 +166,6 @@ class RelationMatrix:
 
     def node_at(self, index: int) -> Node:
         return self._nodes[index]
-
-    def mask_of(self, nodes: Iterable[Node]) -> int:
-        """Bitmask with the bit of every node in ``nodes`` set."""
-        mask = 0
-        for node in nodes:
-            mask |= 1 << self._index[node]
-        return mask
-
-    def nodes_of_mask(self, mask: int) -> Set[Node]:
-        return {self._nodes[i] for i in iter_bits(mask)}
 
     def copy(self) -> "RelationMatrix":
         """An independent matrix sharing the (immutable) node indexing.
@@ -437,12 +425,6 @@ class RelationMatrix:
             shift <<= 1
         return row
 
-    def would_close_cycle(self, src: Node, dst: Node) -> bool:
-        """Whether adding ``src → dst`` would create (or hit) a cycle."""
-        if src == dst:
-            return True
-        return (self._anc[self._index[src]] >> self._index[dst]) & 1 == 1
-
     # -- queries on the maintained closure -----------------------------------
 
     def reaches(self, src: Node, dst: Node) -> bool:
@@ -457,15 +439,6 @@ class RelationMatrix:
         """Whether some edge leaves ``node`` — one bit of the maintained mask."""
         return (self._nonsinks >> self._index[node]) & 1 == 1
 
-    def descendants_mask(self, node: Node) -> int:
-        """Strict descendants as a bitmask, by one scan of the ancestor rows."""
-        bit = 1 << self._index[node]
-        mask = 0
-        for k, row in enumerate(self._anc):
-            if row & bit:
-                mask |= 1 << k
-        return mask
-
     def ancestors_mask(self, node: Node) -> int:
         return self._anc[self._index[node]]
 
@@ -475,13 +448,10 @@ class RelationMatrix:
         itself, not a copy (read only; it changes as edges are added)."""
         return self._anc
 
-    def descendants(self, node: Node) -> Set[Node]:
-        """Strict descendants ``{d | (node, d) ∈ R+}`` as a node set."""
-        return self.nodes_of_mask(self.descendants_mask(node))
-
     def ancestors(self, node: Node) -> Set[Node]:
         """Strict ancestors ``{a | (a, node) ∈ R+}`` as a node set."""
-        return self.nodes_of_mask(self._anc[self._index[node]])
+        nodes = self._nodes
+        return {nodes[i] for i in iter_bits(self._anc[self._index[node]])}
 
     def predecessors_mask(self, node: Node) -> int:
         """Direct (one-step) predecessors, as a bitmask."""
@@ -490,16 +460,6 @@ class RelationMatrix:
     def is_acyclic(self) -> bool:
         """O(1): the cycle flag is maintained across :meth:`add_edge`."""
         return self._acyclic
-
-    def transitive_closure(self) -> Dict[Node, Set[Node]]:
-        """The closure as a node → descendant-set map (compatibility/tests),
-        by one pass that transposes the ancestor rows."""
-        nodes = self._nodes
-        closure: Dict[Node, Set[Node]] = {node: set() for node in nodes}
-        for k, row in enumerate(self._anc):
-            for i in iter_bits(row):
-                closure[nodes[i]].add(nodes[k])
-        return closure
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         edges = sum(bin(row).count("1") for row in self._pred)

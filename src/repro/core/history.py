@@ -496,10 +496,6 @@ class History:
         """``(a, b) ∈ (so ∪ wr)+``."""
         return self.causal_matrix().reaches(a, b)
 
-    def causally_before_eq(self, a: TxnId, b: TxnId) -> bool:
-        """``(a, b) ∈ (so ∪ wr)*``."""
-        return a == b or self.causally_before(a, b)
-
     def causal_past(self, a: TxnId) -> Set[TxnId]:
         """All ``t ≠ a`` with ``(t, a) ∈ (so ∪ wr)+``.
 
@@ -513,10 +509,6 @@ class History:
     def is_so_wr_acyclic(self) -> bool:
         """Def. 2.1 requires ``so ∪ wr`` acyclic; O(1) on the cached closure."""
         return self.causal_matrix().is_acyclic()
-
-    def maximal_in_causal_order(self, tid: TxnId) -> bool:
-        """``t`` is (so ∪ wr)+-maximal in h (paper §3.2)."""
-        return not self.causal_matrix().has_successor(tid)
 
     # -- cross-process shipping ---------------------------------------------------
 

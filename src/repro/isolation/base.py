@@ -42,17 +42,12 @@ class IsolationLevel(abc.ABC):
     def is_weaker_than(self, other: "IsolationLevel") -> bool:
         """Whether every history consistent with ``other`` satisfies ``self``.
 
-        Includes equality.  Levels registered through the
-        :mod:`repro.isolation.registry` lattice are decided by the recorded
-        weaker-than closure (the lattice is a partial order — PSI and PC,
-        or BS-3 and SI, are incomparable); levels registered without
-        lattice edges fall back to comparing strength ranks, which is exact
-        for the original RC < RA < CC < SI < SER chain.
+        Includes equality.  Decided by the weaker-than closure that
+        :func:`record_lattice` recorded when the levels registered (the
+        lattice is a partial order — PSI and PC, or BS-3 and SI, are
+        incomparable).
         """
-        closure = _WEAKER_CLOSURE.get(other.name.upper())
-        if closure is not None and self.name.upper() in _WEAKER_CLOSURE:
-            return self.name.upper() in closure
-        return self.strength <= other.strength
+        return self.name.upper() in _WEAKER_CLOSURE[other.name.upper()]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<IsolationLevel {self.name}>"

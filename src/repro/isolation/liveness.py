@@ -94,14 +94,18 @@ class _View:
 
 
 class EvictionPolicy:
-    """The common-gate predicate; levels subclass to refine (see module doc)."""
+    """The common-gate predicate, refined by two flags (see module doc)."""
 
-    level = "?"
-    #: Visible writers must be retained (False never occurs — every level
-    #: requires it; "assume-fresh" weakens it for RC via ``fresh_writers``).
-    supports_fresh_eviction = False
-    #: Whether transactions with external reads must be retained (SI/SER).
-    requires_no_external_reads = False
+    __slots__ = ("supports_fresh_eviction", "requires_no_external_reads")
+
+    def __init__(
+        self, supports_fresh_eviction: bool = False, requires_no_external_reads: bool = False
+    ):
+        #: Whether "assume-fresh" may evict committed writers outside the
+        #: freshness window (RC); otherwise every writer is retained.
+        self.supports_fresh_eviction = supports_fresh_eviction
+        #: Whether transactions with external reads must be retained too.
+        self.requires_no_external_reads = requires_no_external_reads
 
     def still_matters(self, view: _View, tid: TxnId) -> bool:
         """Whether ``tid`` could participate in a future violation."""
@@ -132,44 +136,21 @@ class EvictionPolicy:
         return False
 
 
-class FreshCapablePolicy(EvictionPolicy):
-    """``"fresh"`` rule (RC): static premises allow assume-fresh eviction."""
-
-    level = "fresh"
-    supports_fresh_eviction = True
-
-
-class WriterPinningPolicy(EvictionPolicy):
-    """``"writers"`` rule: the common gates alone are exact.
-
-    Covers levels whose premises never traverse another transaction's read
-    set — RA, the one-step ``so ∪ wr`` premise; CC, whose ``(so ∪ wr)+``
-    premise is preserved through eviction by the compacted closure matrix;
-    RYW/MW, whose session clauses consult only static ``so`` and the
-    reader's own log.
-    """
-
-    level = "writers"
-
-
-class InertOnlyPolicy(EvictionPolicy):
-    """``"inert"`` rule: transactions with external reads stay too.
-
-    Needed by the commit-order searches (SI/SER/PSI/PC/BS — a premise
-    over an old read is never frozen) and by the session premises that
-    traverse session-mates' read logs (MR/WFR/SESSION): a *future*
-    reader's instance may re-inspect an earlier transaction's reads, which
-    eviction would have discarded.
-    """
-
-    level = "inert"
-    requires_no_external_reads = True
-
-
 _POLICIES = {
-    "fresh": FreshCapablePolicy(),
-    "writers": WriterPinningPolicy(),
-    "inert": InertOnlyPolicy(),
+    # RC: static premises allow assume-fresh eviction.
+    "fresh": EvictionPolicy(supports_fresh_eviction=True),
+    # The common gates alone are exact for levels whose premises never
+    # traverse another transaction's read set — RA, the one-step ``so ∪
+    # wr`` premise; CC, whose ``(so ∪ wr)+`` premise is preserved through
+    # eviction by the compacted closure matrix; RYW/MW, whose session
+    # clauses consult only static ``so`` and the reader's own log.
+    "writers": EvictionPolicy(),
+    # Transactions with external reads stay too, for the commit-order
+    # searches (SI/SER/PSI/PC/BS — a premise over an old read is never
+    # frozen) and the session premises that traverse session-mates' read
+    # logs (MR/WFR/SESSION): a *future* reader's instance may re-inspect
+    # an earlier transaction's reads, which eviction would have discarded.
+    "inert": EvictionPolicy(requires_no_external_reads=True),
 }
 
 

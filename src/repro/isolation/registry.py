@@ -31,7 +31,7 @@ Eviction rules (consumed by :mod:`repro.isolation.liveness`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.events import TxnId
 from ..core.history import History
@@ -42,47 +42,10 @@ from .summaries import DenseSummaries, dense_summaries
 
 if TYPE_CHECKING:
     from .search import Search
+    from .snapshot import SchedulePlacement
 
 #: Valid eviction rule names, weakest pinning first.
 EVICTION_RULES = ("fresh", "writers", "inert")
-
-
-class Placement(Protocol):
-    """A witness the online checker keeps, in row indices of its matrix.
-
-    Once a witness passes the search's step conditions, appending an event
-    can only break them at the transaction the event touches, so each
-    external read or first write is re-checked there alone.  When the
-    re-check fails, the witness's prefix before the earliest step the
-    event can have broken still passes, and the search repairs the witness
-    from it.
-    """
-
-    def rows(self) -> Sequence[int]:
-        """The witness, in row indices."""
-
-    def grow(self, rows: int) -> None:
-        """Place the rows below ``rows`` that are not placed yet last, in
-        row (begin) order."""
-
-    def external_read(self, reader: int, var: int, source: int) -> bool:
-        """Whether the witness still passes once row ``reader`` reads the
-        variable with index ``var`` from row ``source``; records it if so."""
-
-    def first_write(self, writer: int, var: int) -> bool:
-        """Whether the witness still passes once row ``writer`` first
-        writes the variable with index ``var``; records it if so."""
-
-    def cut_before(self, row: int) -> int:
-        """The length of the witness's prefix before row ``row`` is placed
-        (for a schedule: starts), which a first write or an abort by
-        ``row`` leaves intact."""
-
-    def read_cut(self, reader: int, var: int, source: int) -> int:
-        """The length of the witness's prefix that row ``reader``'s read of
-        the variable with index ``var`` from row ``source`` leaves intact
-        and does not rule out: before ``reader`` and before the first
-        writer of ``var`` placed after ``source``."""
 
 
 @dataclass(frozen=True)
@@ -141,17 +104,20 @@ class LevelSpec:
     #: one by it.
     search: Optional[Search] = None
     #: ``place(rows, summaries)``: a ``search`` path given in row indices
-    #: of ``summaries`` as a :class:`Placement`, with the rows it leaves
-    #: out (the last ones) placed after it in row order, when the search's
-    #: step conditions hold along it; None otherwise.  For searches over
-    #: ``so ∪ wr`` alone (SER, SI, PC): the online checker then keeps the
-    #: witness and re-checks it per event before searching, and when that
-    #: fails calls ``search(summaries, prefix)`` with the witness's intact
-    #: prefix (:meth:`Placement.cut_before`, :meth:`Placement.read_cut`),
-    #: which the search must try first and whose verdict must not depend
-    #: on it (:func:`~repro.isolation.search.repaired_path`).  None: it
-    #: searches from the root every time.
-    place: Optional[Callable[[Sequence[int], DenseSummaries], Optional[Placement]]] = None
+    #: of ``summaries`` as a
+    #: :class:`~repro.isolation.snapshot.SchedulePlacement`, with the rows
+    #: it leaves out (the last ones) placed after it in row order, when the
+    #: search's step conditions hold along it; None otherwise.  For the
+    #: interval search over ``so ∪ wr`` alone (SER, SI, PC): the online
+    #: checker then keeps the witness and re-checks it per event before
+    #: searching, and when that fails calls ``search(summaries, prefix)``
+    #: with the witness's intact prefix
+    #: (:meth:`~repro.isolation.snapshot.SchedulePlacement.cut_before`,
+    #: :meth:`~repro.isolation.snapshot.SchedulePlacement.read_cut`), which
+    #: the search must try first and whose verdict must not depend on it
+    #: (:func:`~repro.isolation.search.repaired_path`).  None: it searches
+    #: from the root every time.
+    place: Optional[Callable[[Sequence[int], DenseSummaries], Optional[SchedulePlacement]]] = None
 
     def derived_causal_extensibility(self) -> bool:
         if self.causally_extensible is not None:
@@ -229,8 +195,10 @@ def register_spec(spec: LevelSpec) -> IsolationLevel:
                 f"level {spec.name!r} reuses strength rank {spec.strength} "
                 f"of {existing.name!r}"
             )
-    register(level)
+    # The lattice first: a spec stronger than an unrecorded level raises
+    # there and registers nothing, so every registered level has a closure.
     record_lattice(spec.name, spec.stronger_than)
+    register(level)
     add_aliases(spec.name, spec.aliases)
     _SPECS[key] = spec
     return level

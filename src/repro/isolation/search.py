@@ -1,10 +1,11 @@
 """Generic commit-order search for levels with at-commit-decidable axioms.
 
-PSI and bounded staleness do not fit the two specialised searches: PSI's
-Conflict axiom quantifies over *any* earlier conflicting writer (not just
-interval overlap, so the SI timeline does not apply without Prefix), and
-bounded staleness counts intervening writers (so the "last committed
-writer" frontier of the SER search is too coarse).  Both, however, share a
+PSI and bounded staleness do not fit the interval search that decides
+SER, SI and PC (:mod:`repro.isolation.snapshot`): PSI's Conflict axiom
+quantifies over *any* earlier conflicting writer (not just interval
+overlap, so the SI timeline does not apply without Prefix), and bounded
+staleness counts intervening writers (so the "last committed writer"
+frontier of the SER search is too coarse).  Both, however, share a
 useful shape:
 
 * their co-free axioms (Causal for PSI, Read Committed for BS-k) force
@@ -14,8 +15,8 @@ useful shape:
   decided the moment t3 commits** — it only mentions transactions ordered
   strictly before ``t3`` in ``co``.
 
-So the search here builds the total commit order left to right (as the SER
-checker does), prunes a commit the moment its at-commit predicate fails,
+So the search here builds the total commit order left to right (as the
+SER search does), prunes a commit the moment its at-commit predicate fails,
 and memoizes failing states on ``(committed set, committed-writer
 sequence)`` — the writer sequence is exactly the information future
 at-commit predicates may consult, so the memo key is sound.
@@ -32,19 +33,19 @@ those are is the level's to say: a batch check builds the input with
 the saturation state cached on the history, and the online checker passes
 the matrix of the saturation state it maintains instead.
 
-All three searches (this one, SER's and the SI/PC interval search) run on
-one loop, :func:`first_path`: a depth-first search whose stack is an
-explicit list, one candidate iterator per state on the current path, so a
-history's length costs heap rather than interpreter recursion.  The rows
+Both searches (this one and the interval search) run on one loop,
+:func:`first_path`: a depth-first search whose stack is an explicit list,
+one candidate iterator per state on the current path, so a history's
+length costs heap rather than interpreter recursion.  The rows
 the path took are the search's witness when it succeeds.  Each search
 starts from the empty state, where ``init`` (the one transaction without
 ancestors) is the only candidate.
 
-SER's and the SI/PC search can also repair a witness an appended event
-broke (:func:`repaired_path`): each defines one :data:`Step`, from which
-both its candidates and a walk along the old witness's intact prefix are
-built, and it searches from the state that prefix reaches before it
-searches from the empty state, with one failed-state memo for both.
+The interval search can also repair a witness an appended event broke
+(:func:`repaired_path`): it defines one :data:`Step`, from which both its
+candidates and a walk along the old witness's intact prefix are built,
+and it searches from the state that prefix reaches before it searches
+from the empty state, with one failed-state memo for both.
 """
 
 from __future__ import annotations

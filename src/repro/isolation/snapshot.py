@@ -1,4 +1,5 @@
-"""Snapshot Isolation and Prefix Consistency via interval semantics.
+"""Snapshot Isolation, Prefix Consistency and Serializability via interval
+semantics.
 
 A history satisfies SI (the Prefix ∧ Conflict axioms of Fig. 2(b,c)) iff its
 transactions can be assigned start and commit points on a single timeline
@@ -25,11 +26,19 @@ interval assignment form a witnessing ``co`` for Prefix, and conversely a
 ``co`` satisfying Prefix yields an assignment by starting each transaction
 just after its latest ``co*∘(wr ∪ so)`` predecessor commits.
 
+**Serializability** (SER) is the same search with no two transactions
+running at once, so that each start is followed at once by its commit
+(:mod:`repro.isolation.serializability` says why that decides Fig. 2(d)).
+One private parameter of :func:`_interval_search` and
+:func:`_place_schedule` names which transactions may overlap: none (SER),
+those with disjoint write sets (SI) or any (PC).
+
 The search interleaves start/commit actions and memoizes failing states on
 ``(started, committed, last-writer map)`` — polynomial for a fixed number of
-sessions by the same frontier argument as the SER checker.
+sessions by the frontier argument that
+:mod:`~repro.isolation.serializability` states.
 
-Like the SER checker, the search is a function of one dense input
+The search is a function of one dense input
 (:class:`~repro.isolation.summaries.DenseSummaries`) whose ``ancestors``
 are the ``so ∪ wr`` closure: ``started`` and ``committed`` are int
 bitmasks, start-eligibility is one word-parallel ``ancestors[t] &
@@ -40,9 +49,11 @@ map is rebuilt.
 The search is iterative (:func:`~repro.isolation.search.first_path`), and
 the path it took is its witness: a start/commit schedule, in which each
 transaction appears twice, first where it starts and then where it
-commits.  :func:`schedule_commit_order` reads the commit order off it.
-:func:`place_si` and :func:`place_pc` re-run the search's step conditions
-along a given schedule, in one pass, and return it as a
+commits, or once under SER, where it does both.
+:func:`schedule_commit_order` reads the commit order off an SI or PC
+schedule.  :func:`place_si`, :func:`place_pc` and
+:func:`~repro.isolation.serializability.place_ser` re-run the search's
+step conditions along a given schedule, in one pass, and return it as a
 :class:`SchedulePlacement`, which the online checker keeps and re-checks
 each event against at the event's own transaction.  When that fails, the
 placement names how much of the schedule the event left intact, and the
@@ -121,55 +132,66 @@ def si_search(summaries: DenseSummaries, prefix: Sequence[int] = ()) -> Optional
     (:func:`~repro.isolation.search.repaired_path`); the verdict does not
     depend on it.
     """
-    return _interval_search(summaries, prefix, first_committer_wins=True)
+    return _interval_search(summaries, prefix, overlap="disjoint-writes")
 
 
 def pc_search(summaries: DenseSummaries, prefix: Sequence[int] = ()) -> Optional[List[int]]:
     """The PC search's schedule in row indices, or None (see
     :func:`si_search`)."""
-    return _interval_search(summaries, prefix, first_committer_wins=False)
+    return _interval_search(summaries, prefix, overlap="any")
 
 
 def _interval_search(
-    summaries: DenseSummaries, prefix: Sequence[int], first_committer_wins: bool
+    summaries: DenseSummaries, prefix: Sequence[int], overlap: str
 ) -> Optional[List[int]]:
+    """The interval search, letting ``overlap`` transactions run at once:
+    ``"none"`` (SER), ``"disjoint-writes"`` (SI) or ``"any"`` (PC).  Under
+    ``"none"`` one step starts and commits a transaction, so the path lists
+    each row once."""
     ancestors, reads_of, writes_of, write_mask, num_vars = summaries
     n = len(ancestors)
     full = (1 << n) - 1
+    serial = overlap == "none"
+    first_committer_wins = overlap == "disjoint-writes"
 
     def step(state, i):
         started, committed, last_writer = state
         bit = 1 << i
-        if started & bit:
-            if committed & bit:
+        if not started & bit:
+            # Start a transaction whose causal predecessors have committed.
+            if ancestors[i] & ~committed:
                 return None
-            # Commit an active transaction.
-            if writes_of[i]:
-                updated = list(last_writer)
-                for var in writes_of[i]:
-                    updated[var] = i
-                last_writer = tuple(updated)
-            return started, committed | bit, last_writer
-        # Start a transaction whose causal predecessors have committed.
-        if ancestors[i] & ~committed:
-            return None
-        # Snapshot reads: every external read sees the snapshot at start.
-        for var, src in reads_of[i]:
-            if last_writer[var] != src:
-                return None
-        # First-committer-wins: no overlapping writer of a common variable
-        # (SI only; PC lets conflicting writers overlap).
-        if first_committer_wins and write_mask[i]:
-            for other in iter_bits(started & ~committed):
-                if write_mask[other] & write_mask[i]:
+            # Snapshot reads: every external read sees the snapshot at start.
+            for var, src in reads_of[i]:
+                if last_writer[var] != src:
                     return None
-        return started | bit, committed, last_writer
+            # First-committer-wins: no overlapping writer of a common
+            # variable (SI only; PC lets conflicting writers overlap).
+            if first_committer_wins and write_mask[i]:
+                for other in iter_bits(started & ~committed):
+                    if write_mask[other] & write_mask[i]:
+                        return None
+            started |= bit
+            if not serial:
+                return started, committed, last_writer
+            # With no overlap the commit follows the start at once.
+        elif committed & bit:
+            return None
+        # Commit an active transaction: its writes become the last ones.
+        if writes_of[i]:
+            updated = list(last_writer)
+            for var in writes_of[i]:
+                updated[var] = i
+            last_writer = tuple(updated)
+        return started, committed | bit, last_writer
 
     def actions(state):
         started, committed, _last_writer = state
-        # Commits of the active transactions first, then starts.
-        for i in iter_bits(started & ~committed):
-            yield i, step(state, i)
+        # Commits of the active transactions first (with no overlap, none
+        # is ever active), then starts.
+        if started != committed:
+            for i in iter_bits(started & ~committed):
+                yield i, step(state, i)
         for i in range(n):
             if not started >> i & 1:
                 child = step(state, i)
@@ -195,23 +217,28 @@ def place_si(schedule: Sequence[int], summaries: DenseSummaries) -> Optional["Sc
     variable the starting one writes.  Every row must start and commit
     exactly once.  One pass: O(transactions + reads).
     """
-    return _place_schedule(schedule, summaries, first_committer_wins=True)
+    return _place_schedule(schedule, summaries, overlap="disjoint-writes")
 
 
 def place_pc(schedule: Sequence[int], summaries: DenseSummaries) -> Optional["SchedulePlacement"]:
     """:func:`place_si` without first-committer-wins: the PC search's step
     conditions along ``schedule``."""
-    return _place_schedule(schedule, summaries, first_committer_wins=False)
+    return _place_schedule(schedule, summaries, overlap="any")
 
 
 def _place_schedule(
-    schedule: Sequence[int], summaries: DenseSummaries, first_committer_wins: bool
+    schedule: Sequence[int], summaries: DenseSummaries, overlap: str
 ) -> Optional["SchedulePlacement"]:
-    """The interval search's step conditions along ``schedule``."""
+    """The interval search's step conditions along ``schedule``, under
+    ``overlap`` (see :func:`_interval_search`); with ``"none"`` it lists
+    each row once, where the row starts and commits."""
     ancestors, reads_of, writes_of, write_mask, num_vars = summaries
     n = len(ancestors)
-    later = range(len(schedule) // 2, n)
-    schedule = list(chain(schedule, (i for i in later for _twice in (0, 1))))
+    serial = overlap == "none"
+    first_committer_wins = overlap == "disjoint-writes"
+    entries = 1 if serial else 2
+    later = range(len(schedule) // entries, n)
+    schedule = list(chain(schedule, (i for i in later for _entry in range(entries))))
     start = [0] * n
     commit = [0] * n
     writers: List[List[int]] = [[] for _ in range(num_vars)]
@@ -235,35 +262,45 @@ def _place_schedule(
                 active_writes |= write_mask[i]
             start[i] = at
             started |= bit
-        elif not committed & bit:
-            for var in writes_of[i]:
-                last_writer[var] = i
-                writers[var].append(at)
-            active_writes &= ~write_mask[i]
-            commit[i] = at
-            committed |= bit
-        else:
+            if not serial:
+                continue
+        elif committed & bit:
             return None
+        for var in writes_of[i]:
+            last_writer[var] = i
+            writers[var].append(at)
+        active_writes &= ~write_mask[i]
+        commit[i] = at
+        committed |= bit
     if committed != (1 << n) - 1:
         return None
-    return SchedulePlacement(schedule, start, commit, writers, readers, first_committer_wins)
+    return SchedulePlacement(schedule, start, commit, writers, readers, overlap)
 
 
 class SchedulePlacement:
     """A start/commit schedule that passes the interval search's step
-    conditions, kept so that an event is re-checked at its own transaction
-    only.
+    conditions: the witness the online checker keeps, in row indices of
+    its matrix.
 
-    ``schedule`` lists the rows, each twice (start, then commit);
-    ``start[row]`` and ``commit[row]`` are a row's positions in it.  Per
-    variable index, ``writers[var]`` holds the sorted commit positions of
-    its visible writers, and ``readers[var]`` maps a writer's commit
-    position to the latest start of a transaction that reads the variable
-    from it.  Built by :func:`place_si` or :func:`place_pc`; a step that
+    Appending an event can only break the step conditions at the
+    transaction the event touches, so each external read or first write
+    is re-checked there alone.  When the re-check fails, the schedule's
+    prefix before the earliest step the event can have broken still
+    passes (:meth:`cut_before`, :meth:`read_cut`), and the search repairs
+    the witness from it.
+
+    ``schedule`` lists the rows, each twice (start, then commit), or once
+    with no overlap, where ``start[row] == commit[row]``; ``start[row]``
+    and ``commit[row]`` are a row's positions in it.  Per variable index,
+    ``writers[var]`` holds the sorted commit positions of its visible
+    writers, and ``readers[var]`` maps a writer's commit position to the
+    latest start of a transaction that reads the variable from it.  Built
+    by :func:`place_si`, :func:`place_pc` or
+    :func:`~repro.isolation.serializability.place_ser`; a step that
     returns False leaves it unchanged.
     """
 
-    __slots__ = ("schedule", "start", "commit", "writers", "readers", "first_committer_wins")
+    __slots__ = ("schedule", "start", "commit", "writers", "readers", "overlap")
 
     def __init__(
         self,
@@ -272,14 +309,14 @@ class SchedulePlacement:
         commit: List[int],
         writers: List[List[int]],
         readers: List[Dict[int, int]],
-        first_committer_wins: bool,
+        overlap: str,
     ):
         self.schedule = schedule
         self.start = start
         self.commit = commit
         self.writers = writers
         self.readers = readers
-        self.first_committer_wins = first_committer_wins
+        self.overlap = overlap
 
     def rows(self) -> List[int]:
         """The schedule, in row indices."""
@@ -287,12 +324,16 @@ class SchedulePlacement:
 
     def grow(self, rows: int) -> None:
         """Start and commit the rows below ``rows`` that are not placed yet
-        last, in row (begin) order."""
+        last, in row (begin) order: one entry per row with no overlap,
+        two otherwise."""
         schedule, start, commit = self.schedule, self.start, self.commit
+        serial = self.overlap == "none"
         for row in range(len(start), rows):
             start.append(len(schedule))
-            commit.append(len(schedule) + 1)
-            schedule += (row, row)
+            schedule.append(row)
+            if not serial:
+                schedule.append(row)
+            commit.append(len(schedule) - 1)
 
     def external_read(self, reader: int, var: int, source: int) -> bool:
         """Whether the schedule still passes once ``reader`` reads ``var``
@@ -319,11 +360,13 @@ class SchedulePlacement:
 
         Only the readers of ``var`` from the last writer committed before
         ``writer`` can change their snapshot, so the schedule passes iff
-        none of them starts after ``writer`` commits.  For SI, ``writer``
-        must also not overlap the writers of ``var`` committed just before
-        and just after it.  Those two are enough: the writers of a common
-        variable have pairwise disjoint intervals, so their starts and
-        commits come in the same order.
+        none of them starts after ``writer`` commits.  The writer's own
+        earlier read of ``var`` stays valid: a transaction's reads come
+        before its writes.  For SI, ``writer`` must also not overlap the
+        writers of ``var`` committed just before and just after it.  Those
+        two are enough: the writers of a common variable have pairwise
+        disjoint intervals, so their starts and commits come in the same
+        order.
         """
         at = self.commit[writer]
         writers = self.writers[var]
@@ -331,7 +374,7 @@ class SchedulePlacement:
         before = writers[k - 1]
         if self.readers[var].get(before, -1) > at:
             return False
-        if self.first_committer_wins:
+        if self.overlap == "disjoint-writes":
             start = self.start
             if before > start[writer]:
                 return False

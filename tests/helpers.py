@@ -99,6 +99,53 @@ PAPER_PROGRAMS = [
 ]
 
 
+# -- naive relation queries ------------------------------------------------------
+# The library asks none of these; the tests that want them read them off the
+# public pair queries (``RelationMatrix.reaches`` / ``ancestors``,
+# ``History.causally_before``).
+
+
+def descendants(matrix, node) -> set:
+    """Strict descendants ``{d | (node, d) ∈ R+}`` of ``node`` in ``matrix``."""
+    return {other for other in matrix.nodes if matrix.reaches(node, other)}
+
+
+def transitive_closure(matrix) -> dict:
+    """``matrix``'s closure as a node → strict-descendant-set map, by
+    transposing every node's ancestor set."""
+    closure = {node: set() for node in matrix.nodes}
+    for node in matrix.nodes:
+        for ancestor in matrix.ancestors(node):
+            closure[ancestor].add(node)
+    return closure
+
+
+def would_close_cycle(matrix, src, dst) -> bool:
+    """Whether adding ``src → dst`` to ``matrix`` would create (or hit) a
+    cycle."""
+    return src == dst or matrix.reaches(dst, src)
+
+
+def mask_of(matrix, nodes) -> int:
+    """The bitmask of ``nodes`` in ``matrix``'s dense indexing."""
+    return sum(1 << matrix.index_of(node) for node in set(nodes))
+
+
+def nodes_of_mask(matrix, mask: int) -> set:
+    """The nodes whose bits ``mask`` sets in ``matrix``'s dense indexing."""
+    return {node for node in matrix.nodes if mask >> matrix.index_of(node) & 1}
+
+
+def causally_before_eq(history: History, a, b) -> bool:
+    """``(a, b) ∈ (so ∪ wr)*``."""
+    return a == b or history.causally_before(a, b)
+
+
+def maximal_in_causal_order(history: History, tid) -> bool:
+    """``tid`` is ``(so ∪ wr)+``-maximal in ``history`` (paper §3.2)."""
+    return not any(history.causally_before(tid, other) for other in history.txns)
+
+
 # -- random generators ---------------------------------------------------------------
 
 

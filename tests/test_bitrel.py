@@ -25,7 +25,16 @@ from repro.isolation.serializability import satisfies_ser
 from repro.isolation.snapshot import satisfies_si
 from repro.semantics.scheduler import next_action, valid_writes
 
-from tests.helpers import fig8_program, fig12_program, random_history
+from tests.helpers import (
+    descendants,
+    fig8_program,
+    fig12_program,
+    mask_of,
+    nodes_of_mask,
+    random_history,
+    transitive_closure,
+    would_close_cycle,
+)
 
 # Naive references, deliberately independent of RelationMatrix.
 
@@ -91,10 +100,10 @@ class TestCrossChecks:
         for size in graph_sizes(200):
             n, edges, adj = random_graph(rng, cyclic_ok, size)
             matrix = RelationMatrix(range(n), edges)
-            assert matrix.transitive_closure() == naive_closure(adj)
+            assert transitive_closure(matrix) == naive_closure(adj)
             assert matrix.is_acyclic() == naive_acyclic(adj)
             for node in range(n):
-                assert matrix.descendants(node) == naive_reachable(adj, node)
+                assert descendants(matrix, node) == naive_reachable(adj, node)
                 assert matrix.ancestors(node) == {
                     other for other in adj if node in naive_reachable(adj, other)
                 }
@@ -106,10 +115,10 @@ class TestCrossChecks:
             rng.shuffle(edges)
             incremental = RelationMatrix(range(n))
             for step, (u, v) in enumerate(edges):
-                expected_cycle = incremental.would_close_cycle(u, v)
+                expected_cycle = would_close_cycle(incremental, u, v)
                 incremental.add_edge(u, v)
                 rebuilt = RelationMatrix(range(n), edges[: step + 1])
-                assert incremental.transitive_closure() == rebuilt.transitive_closure()
+                assert transitive_closure(incremental) == transitive_closure(rebuilt)
                 assert incremental.is_acyclic() == rebuilt.is_acyclic()
                 if expected_cycle:
                     assert not incremental.is_acyclic()
@@ -123,9 +132,9 @@ class TestCrossChecks:
     def test_self_loop_and_cycle_flags(self):
         matrix = RelationMatrix(range(3), [(0, 1)])
         assert matrix.is_acyclic()
-        assert matrix.would_close_cycle(1, 1)
-        assert matrix.would_close_cycle(1, 0)
-        assert not matrix.would_close_cycle(1, 2)
+        assert would_close_cycle(matrix, 1, 1)
+        assert would_close_cycle(matrix, 1, 0)
+        assert not would_close_cycle(matrix, 1, 2)
         matrix.add_edge(1, 0)
         assert not matrix.is_acyclic()
         assert matrix.reaches(0, 0)
@@ -151,12 +160,12 @@ class TestCrossChecks:
         dup.add_edge(1, 2)
         assert dup.reaches(0, 2)
         assert not base.reaches(0, 2)
-        assert base.transitive_closure() == RelationMatrix(range(3), [(0, 1)]).transitive_closure()
+        assert transitive_closure(base) == transitive_closure(RelationMatrix(range(3), [(0, 1)]))
 
     def test_masks_roundtrip(self):
         matrix = RelationMatrix("xyz")
-        mask = matrix.mask_of("xz")
-        assert matrix.nodes_of_mask(mask) == {"x", "z"}
+        mask = mask_of(matrix, "xz")
+        assert nodes_of_mask(matrix, mask) == {"x", "z"}
         assert matrix.index_of("y") == 1 and matrix.node_at(1) == "y"
         assert "y" in matrix and "w" not in matrix
         assert len(matrix) == 3
@@ -321,7 +330,7 @@ class TestHistoryIntegration:
             matrix = history.causal_matrix()
             assert matrix.is_acyclic() == history.is_so_wr_acyclic()
             for a in history.txns:
-                assert matrix.descendants(a) == naive_reachable(adj, a)
+                assert descendants(matrix, a) == naive_reachable(adj, a)
                 assert history.causal_past(a) == {
                     t for t in adj if t != a and a in naive_reachable(adj, t)
                 }
@@ -460,7 +469,7 @@ class TestWordBoundary:
         restored = RelationMatrix.from_closure(matrix.nodes, matrix.closure_rows())
         assert restored.closure_rows() == matrix.closure_rows()
         assert restored.is_acyclic() == matrix.is_acyclic()
-        assert restored.transitive_closure() == matrix.transitive_closure()
+        assert transitive_closure(restored) == transitive_closure(matrix)
         restored.add_edge(64, 0)
         assert restored.reaches(64, 0) and not matrix.reaches(64, 0)
 
@@ -513,7 +522,7 @@ class TestMutatorInterleavings:
         assert list(matrix.nodes) == nodes
         closure = naive_closure(adj)
         for a in nodes:
-            assert matrix.descendants(a) == closure[a]
+            assert descendants(matrix, a) == closure[a]
             assert matrix.ancestors(a) == {b for b in nodes if a in closure[b]}
             assert matrix.has_successor(a) == bool(adj[a])
             for b in nodes:

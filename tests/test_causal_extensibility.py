@@ -13,6 +13,8 @@ from repro.core import HistoryBuilder
 from repro.core.events import Event, EventId, EventType
 from repro.isolation import get_level
 
+from tests.helpers import causally_before_eq, maximal_in_causal_order
+
 
 def _extend_with_write(history, tid, var, value):
     log = history.txns[tid]
@@ -28,7 +30,7 @@ def _causal_read_extensions(history, tid, var):
     for writer in history.txns.values():
         if not writer.is_committed or not writer.writes_var(var):
             continue
-        if not history.causally_before_eq(writer.tid, tid):
+        if not causally_before_eq(history, writer.tid, tid):
             continue
         extended = history.append_event(
             tid.session, Event(eid, EventType.READ, var, writer.writes()[var].value)
@@ -123,7 +125,7 @@ class TestRandomizedCausalExtensibility:
         tested = 0
         for _ in range(200):
             h = random_history(rng, allow_pending=True)
-            pending = [t for t in h.pending_transactions() if h.maximal_in_causal_order(t.tid)]
+            pending = [t for t in h.pending_transactions() if maximal_in_causal_order(h, t.tid)]
             if not pending:
                 continue
             tid = pending[0].tid

@@ -14,6 +14,8 @@ from repro.core import (
     is_prefix,
 )
 
+from tests.helpers import maximal_in_causal_order
+
 
 def simple_history():
     """t1 writes x and commits; t2 reads x from t1 (still pending)."""
@@ -164,8 +166,8 @@ class TestHistoryQueries:
 
     def test_maximal_in_causal_order(self):
         h, t1, t2, _ = simple_history()
-        assert h.maximal_in_causal_order(t2)
-        assert not h.maximal_in_causal_order(t1)
+        assert maximal_in_causal_order(h, t2)
+        assert not maximal_in_causal_order(h, t1)
 
     def test_visible_write_value(self):
         h, t1, *_ = simple_history()

@@ -93,6 +93,15 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_level("UNDECIDED")
 
+    def test_register_spec_refuses_an_unrecorded_weaker_level(self):
+        """``is_weaker_than`` reads every registered level's recorded
+        lattice closure, so a spec stronger than an unknown level raises
+        and registers nothing."""
+        with pytest.raises(KeyError, match="unrecorded"):
+            register_spec(LevelSpec(name="ORPHAN", strength=98, stronger_than=("NOPE",)))
+        with pytest.raises(KeyError):
+            get_level("ORPHAN")
+
     def test_incomparable_pairs(self):
         for a, b in (("PSI", "PC"), ("BS-3", "SI"), ("SESSION", "RC")):
             assert not get_level(a).is_weaker_than(get_level(b)), (a, b)

@@ -7,7 +7,7 @@ from repro.dpor.swaps import compute_reorderings, doomed_events, swap
 from repro.isolation import get_level
 from repro.semantics import apply_action, next_action, valid_writes
 
-from tests.helpers import fig10_program, fig12_program
+from tests.helpers import causally_before_eq, fig10_program, fig12_program
 
 CC = get_level("CC")
 
@@ -60,7 +60,7 @@ class TestComputeReorderings:
         oh = drive_all(p, picks=[1, 0])  # r1 reads w1, r2 reads init
         pairs = compute_reorderings(oh)
         for read, target in pairs:
-            assert not oh.history.causally_before_eq(read.txn, target)
+            assert not causally_before_eq(oh.history, read.txn, target)
 
     def test_aborted_target_has_no_pairs(self):
         from repro.lang import L, ProgramBuilder, abort
@@ -143,5 +143,5 @@ class TestSwap:
         p = fig10_program()
         oh, read, target, swapped = self.swap_first_pair(p)
         for eid in oh.order:
-            if oh.before(read, eid) and not oh.history.causally_before_eq(eid.txn, target):
+            if oh.before(read, eid) and not causally_before_eq(oh.history, eid.txn, target):
                 assert not swapped.history.has_event(eid) or eid.txn == read.txn

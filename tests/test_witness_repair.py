@@ -12,9 +12,12 @@ one pass and certified by ``axioms_hold`` (on the long trace at SI and PC
 while at most 120 transactions are live); a level flips to violated after
 expanding exactly the states one from-root search expands; and on
 stream-search-shaped streams the repair serves at least 90% of the
-searches that had a witness.
+searches that had a witness.  One digest per level pins every decision,
+witness and expanded state over the corpora and the long trace.
 """
 
+import hashlib
+import json
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
@@ -296,3 +299,66 @@ def test_violation_exhausts_the_state_space_once(level, expanded):
     assert level_spec(level).search(checker._summaries.view(checker.causal_matrix)) is None
     assert repaired["runs"] == 2 and expanded["runs"] == 1
     assert repaired["states"] == expanded["states"] > 0
+
+
+@lru_cache(maxsize=None)
+def corpus_traces():
+    """Every trace of every corpus, in corpus-name order."""
+    return tuple(trace for corpus in sorted(CORPORA) for trace in CORPORA[corpus]())
+
+
+def decisions_digest(level, traces):
+    """Digest the online decisions at ``level`` over ``traces``.
+
+    After every event: its index, verdicts and newly violated levels, and
+    the witness the checker keeps; after every trace: the decision counts
+    and the states the searches expanded so far.  As JSON, so the digest
+    depends on neither ``hash()`` nor a ``repr``.
+    """
+    digest = hashlib.sha256()
+    with expansions() as expanded:
+        for trace in traces:
+            checker = OnlineChecker.from_trace(trace, levels=(level,))
+            for event in trace.events:
+                step = checker.feed(event)
+                record = [step.index, step.verdicts, step.newly_violated, checker.witness(level)]
+                digest.update(json.dumps(record).encode())
+            digest.update(json.dumps([checker.decisions, expanded["states"]]).encode())
+    return digest.hexdigest()
+
+
+#: SHA-256 of :func:`decisions_digest` over :func:`corpus_traces` and the
+#: long trace, recorded when SER had a commit-order search and a placement
+#: of its own.  Deciding SER with the interval search must take the same
+#: paths, keep the same witnesses and expand the same states.
+PINNED_DIGESTS = {
+    "PC": "1192f20a1845c29251c358f9c98b4977f45189d90e7bfbf6feaf34137d696fbc",
+    "SER": "52e1c12c81e5de62329dffcca40bcbfac236e2065f17f4431bcce4e653dcecd7",
+    "SI": "78a0f3a751e21c466453177a4d50e424a2c57bb6f92541ea1a41317c66385c16",
+}
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_decisions_match_the_recorded_digest(level, long_trace):
+    assert decisions_digest(level, corpus_traces() + (long_trace,)) == PINNED_DIGESTS[level]
+
+
+def test_a_serial_witness_is_an_si_and_a_pc_schedule():
+    """Every SER witness, each row listed twice (started and committed at
+    once), passes the SI and the PC step conditions: a serial schedule is
+    both."""
+    checked = 0
+    for trace in corpus_traces():
+        checker = OnlineChecker.from_trace(trace, levels=("SER",))
+        for event in trace.events:
+            checker.feed(event)
+            witness = checker.witness("SER")
+            if witness is None:
+                continue
+            index = checker.causal_matrix.index_of
+            schedule = [index(tid) for tid in witness for _twice in (0, 1)]
+            view = checker._summaries.view(checker.causal_matrix)
+            assert PLACE["SI"](schedule, view) is not None, (trace.header.name, event)
+            assert PLACE["PC"](schedule, view) is not None, (trace.header.name, event)
+            checked += 1
+    assert checked > 1000, checked
