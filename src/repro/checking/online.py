@@ -44,8 +44,8 @@ Which camp a level falls in is read off its
 :class:`~repro.isolation.registry.LevelSpec`, so spec-registered
 extensions stream without touching this module.
 
-When a search level keeps its verdict
--------------------------------------
+When a level keeps its verdict
+------------------------------
 
 A level's search decides from the transactions, ``so ∪ wr``, the external
 reads with their sources and the visible write sets (the contract on
@@ -56,11 +56,17 @@ verdict, with no history materialised: a ``begin`` (its transaction has
 no reads, no writes and no outgoing edge, so it can go last in any commit
 order), a ``commit``, a local read, a write to a variable the transaction
 already wrote, and the abort of a transaction that wrote nothing.  Every
-level holds before the first event.  And while a prefix-closed level is
-violated, every event except a writer's abort keeps it violated: the old
-history is a prefix of the new one.  So a search runs only on an external
-read, a first write or a writer's abort, and on a violated prefix-closed
-level only on a writer's abort.
+level holds before the first event.  The carry-over holds for every
+level, the saturation levels included: a ``begin`` adds an isolated sink
+and one ``so`` edge into it, which closes no cycle in the ``so ∪ wr``
+matrix or in any saturation state's and creates no axiom instance (the
+new transaction has no reads), and the other four events change no edge.
+So on these events :meth:`OnlineChecker.feed` makes the bookkeeping step
+and returns the previous verdicts without visiting a level.  And while a
+prefix-closed level is violated, every event except a writer's abort
+keeps it violated: the old history is a prefix of the new one.  So a
+search runs only on an external read, a first write or a writer's abort,
+and on a violated prefix-closed level only on a writer's abort.
 
 On such an event SER, SI and PC first re-check a witness.  Def. 2.2 is
 existential, so the path a successful search took certifies its verdict:
@@ -119,8 +125,18 @@ re-close); write-free aborts don't touch the states at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.bitrel import RelationMatrix
 from ..core.events import INIT_TXN, Event, TxnId
@@ -148,14 +164,15 @@ DECISIONS: Tuple[str, ...] = ("rechecked", "repaired", "fell_back", "searched")
 PRUNE_FLOOR = 64
 
 
-@dataclass(frozen=True)
-class OnlineStep:
+class OnlineStep(NamedTuple):
     """The checker's state right after one fed event.
 
     ``verdicts`` maps each configured level name to whether the prefix
-    history *up to and including this event* satisfies it;
+    history *up to and including this event* satisfies it; it is the
+    step's own dict, which the checker never reads back.
     ``newly_violated`` lists the levels whose verdict flipped to ``False``
     on exactly this event — the streaming analogue of a violation witness.
+    Immutable: a named tuple, so one is cheap to build per event.
     """
 
     index: int
@@ -321,7 +338,9 @@ class OnlineChecker:
         }
         self._steps: List[OnlineStep] = []
         self._record_steps = record_steps
-        self._verdicts: Dict[str, bool] = {}
+        #: Level → verdict on the current prefix; every level holds before
+        #: the first event.  Each step gets its own copy.
+        self._verdicts: Dict[str, bool] = dict.fromkeys(self.levels, True)
         self._history: Optional[History] = None
         self._evicted = 0
         #: reader → wr sources of its external reads so far.  Equals the
@@ -347,33 +366,22 @@ class OnlineChecker:
 
     def feed(self, event: TraceEvent) -> OnlineStep:
         """Append one event, make the saturation step, re-decide levels."""
-        added = self._replayer.apply(event)
-        tid = event.tid
+        replayer = self._replayer
+        added = replayer.apply(event)
+        tid = added.eid.txn
+        op = event.op
         states = self._states
         summaries = self._summaries
         # Premises are decided against the O(1) facts view: no prefix
         # history is materialised.
         facts = self._facts
-        # Whether the event can change a search level's verdict, and
-        # whether it retracts writes (the one step that can undo a
-        # violation); see the module docstring.
-        inert = True
-        retracts = False
+        self._history = None
         # Where the event touches the summaries: its transaction's row,
         # and for a read or first write the variable's index and the
         # read's source row; a kept witness is re-checked there.
         row = var = src = -1
-        if event.op == "begin":
-            prev = self._replayer.session_predecessor(tid.session)
-            self._causal.add_node(tid)
-            self._causal.add_edge(prev, tid)
-            for state in states:
-                state.begin(tid, prev)
-            if summaries is not None:
-                summaries.begin()
-        elif event.op == "read" and not event.local:
-            inert = False
-            source = self._replayer.wr_source(added.eid)
+        if op == "read" and not event.local:
+            source = replayer.wr_source(added.eid)
             if source != tid:
                 self._causal.add_edge(source, tid)
             prior = self._sources_read.setdefault(tid, set())
@@ -386,31 +394,44 @@ class OnlineChecker:
                 index = self._causal.index_of
                 row, src = index(tid), index(source)
                 var = summaries.external_read(row, event.var, src)
-        elif event.op == "write":
-            writers = self._writers_of_var.setdefault(event.var, [])
-            if tid not in writers:
-                inert = False
-                writers.append(tid)
-                reads = self._reads_of_var.get(event.var, ())
-                for state in states:
-                    state.first_write(facts, tid, reads)
-                if summaries is not None:
-                    row = self._causal.index_of(tid)
-                    var = summaries.first_write(row, event.var)
-        elif event.op == "abort" and self._replayer.wrote_any(tid):
-            inert = False
-            retracts = True
+        elif op == "write" and replayer.written(tid)[event.var] is added:
+            # The replayer keeps each variable's first write: this is one.
+            self._writers_of_var[event.var].append(tid)
+            reads = self._reads_of_var.get(event.var, ())
+            for state in states:
+                state.first_write(facts, tid, reads)
+            if summaries is not None:
+                row = self._causal.index_of(tid)
+                var = summaries.first_write(row, event.var)
+        elif op == "abort" and replayer.wrote_any(tid):
             # The aborted writer's writes become invisible (§2.2.1): it
-            # leaves every writers-of bucket and every saturation state.
-            for writers in self._writers_of_var.values():
-                if tid in writers:
-                    writers.remove(tid)
+            # leaves the writers-of buckets of the variables it wrote and
+            # every saturation state.
+            for written in replayer.written(tid):
+                self._writers_of_var[written].remove(tid)
             for state in states:
                 state.abort_writer(facts, tid)
             if summaries is not None:
                 row = self._causal.index_of(tid)
                 summaries.abort_writer(row)
-        self._history = None
+        else:
+            if op == "begin":
+                prev = replayer.session_predecessor(tid.session)
+                self._causal.add_node(tid)
+                self._causal.add_edge(prev, tid)
+                for state in states:
+                    state.begin(tid, prev)
+                if summaries is not None:
+                    summaries.begin()
+            # No level decides on this event: every verdict carries over
+            # (see the module docstring).
+            step = OnlineStep(replayer.event_count - 1, event, dict(self._verdicts), ())
+            if self._record_steps:
+                self._steps.append(step)
+            return step
+        # Only a writer's abort retracts writes, the one step that can
+        # undo a violation.
+        retracts = op == "abort"
         previous = self._verdicts
         verdicts: Dict[str, bool] = {}
         base_acyclic = self._causal.is_acyclic()
@@ -420,23 +441,14 @@ class OnlineChecker:
             elif not base_acyclic:
                 verdicts[name] = False
                 self._placements.pop(name, None)
-            elif inert:
-                verdicts[name] = previous.get(name, True)
-            elif not (retracts or previous.get(name, True)) and name in self._prefix_closed:
+            elif not (retracts or previous[name]) and name in self._prefix_closed:
                 # The old history is a prefix of the new one: still violated.
                 verdicts[name] = False
             else:
-                verdicts[name] = self._decide(name, event.op, row, var, src)
-        newly = tuple(
-            name for name in self.levels if not verdicts[name] and previous.get(name, True)
-        )
+                verdicts[name] = self._decide(name, op, row, var, src)
+        newly = tuple(name for name in self.levels if not verdicts[name] and previous[name])
         self._verdicts = verdicts
-        step = OnlineStep(
-            index=self._replayer.event_count - 1,
-            event=event,
-            verdicts=verdicts,
-            newly_violated=newly,
-        )
+        step = OnlineStep(replayer.event_count - 1, event, dict(verdicts), newly)
         if self._record_steps or newly:
             self._steps.append(step)
         return step
@@ -742,8 +754,6 @@ class OnlineChecker:
     @property
     def verdicts(self) -> Dict[str, bool]:
         """Level → verdict on the current prefix (all True before any event)."""
-        if not self._verdicts:
-            return {name: True for name in self.levels}
         return dict(self._verdicts)
 
     @property

@@ -66,8 +66,11 @@ class RelationMatrix:
 
     # Row i of ``_pred`` holds node i's one-step predecessors and row i of
     # ``_anc`` its strict ancestors; bit i of ``_nonsinks`` is set iff node
-    # i has a successor (iff bit i is set in some row).
-    __slots__ = ("_nodes", "_index", "_pred", "_anc", "_nonsinks", "_acyclic", "_frozen")
+    # i has a successor (iff bit i is set in some row).  ``_shared`` is set
+    # while :meth:`copy` may have handed ``_index`` to another matrix.
+    __slots__ = (
+        "_nodes", "_index", "_shared", "_pred", "_anc", "_nonsinks", "_acyclic", "_frozen",
+    )
 
     #: Number of full (closure-computing) constructions since interpreter
     #: start.  :meth:`copy` and :meth:`add_edge` do not count — the
@@ -87,6 +90,7 @@ class RelationMatrix:
         self._index: Dict[Node, int] = {n: i for i, n in enumerate(self._nodes)}
         if len(self._index) != len(self._nodes):
             raise ValueError("duplicate nodes in RelationMatrix universe")
+        self._shared = False
         pred = [0] * len(self._nodes)
         for src, dst in edges:
             i = self._index.get(src)
@@ -168,11 +172,14 @@ class RelationMatrix:
         return self._nodes[index]
 
     def copy(self) -> "RelationMatrix":
-        """An independent matrix sharing the (immutable) node indexing.
+        """An independent matrix sharing the node indexing.
 
         O(n) — rows are immutable ints, so copying the two row lists
-        suffices, and the copy is mutable right away.  Used by the
-        saturation checker to extend a history's cached closure with
+        suffices, and the copy is mutable right away.  The node tuple and
+        the index dict are shared, not copied: both matrices are marked as
+        sharing the index, so the first :meth:`add_node` on either copies
+        it before adding, and the other's indexing never moves.  Used by
+        the saturation checker to extend a history's cached closure with
         forced edges without disturbing the cache, by
         :meth:`~repro.isolation.saturation.IncrementalSaturation.fork`, and
         by the scheduler to derive each child node's matrix from its
@@ -181,6 +188,7 @@ class RelationMatrix:
         dup = object.__new__(RelationMatrix)
         dup._nodes = self._nodes
         dup._index = self._index
+        dup._shared = self._shared = True
         dup._pred = self._pred[:]
         dup._anc = self._anc[:]
         dup._nonsinks = self._nonsinks
@@ -233,6 +241,7 @@ class RelationMatrix:
         matrix = object.__new__(cls)
         matrix._nodes = tuple(nodes)
         matrix._index = {n: i for i, n in enumerate(matrix._nodes)}
+        matrix._shared = False
         n = len(matrix._nodes)
         if len(matrix._index) != n:
             raise ValueError("duplicate nodes in RelationMatrix universe")
@@ -253,14 +262,18 @@ class RelationMatrix:
         """Append ``node`` to the universe and return its dense index.
 
         The new node starts isolated (no edges), so the maintained closure
-        and the acyclicity flag are unaffected — appending is O(n) (the node
-        tuple and index map are rebuilt; the closure rows just gain one zero
-        row).  This is what lets the online checker grow a relation one
+        and the acyclicity flag are unaffected: the closure rows just gain
+        one zero row, and the node tuple is extended by concatenation.
+        This is what lets the online checker grow a relation one
         transaction at a time instead of rebuilding the matrix per event.
 
-        The index map is *re-created* rather than mutated in place because
-        :meth:`copy` shares it between copies; mutating the shared dict
-        would silently desynchronise a sibling matrix's indexing.
+        A matrix owns its index dict when a constructor or
+        :meth:`remove_nodes` built it, and adds the node to it in place.
+        After :meth:`copy` the original and the copy share it, so whichever
+        adds a node first copies the dict and owns the copy; mutating the
+        shared dict would silently desynchronise the other's indexing.  The
+        online checker's matrices are never copied on its feed path, so a
+        ``begin`` there copies no index.
         """
         if self._frozen:
             raise ValueError("matrix is frozen (cached on a history); copy() it before add_node")
@@ -268,7 +281,9 @@ class RelationMatrix:
             raise ValueError(f"node {node!r} already in RelationMatrix universe")
         index = len(self._nodes)
         self._nodes = self._nodes + (node,)
-        self._index = dict(self._index)
+        if self._shared:
+            self._index = dict(self._index)
+            self._shared = False
         self._index[node] = index
         self._pred.append(0)
         self._anc.append(0)
@@ -368,6 +383,7 @@ class RelationMatrix:
         dup = object.__new__(RelationMatrix)
         dup._nodes = tuple(self._nodes[i] for i in keep)
         dup._index = {node: j for j, node in enumerate(dup._nodes)}
+        dup._shared = False
         anc = [compact(self._anc[i], keep_mask, plan) for i in keep]
         dup._anc = anc
         # pred is *promoted* to the restricted closure, not merely
@@ -434,10 +450,6 @@ class RelationMatrix:
     def reaches_reflexive(self, src: Node, dst: Node) -> bool:
         """``(src, dst) ∈ R*``."""
         return src == dst or self.reaches(src, dst)
-
-    def has_successor(self, node: Node) -> bool:
-        """Whether some edge leaves ``node`` — one bit of the maintained mask."""
-        return (self._nonsinks >> self._index[node]) & 1 == 1
 
     def ancestors_mask(self, node: Node) -> int:
         return self._anc[self._index[node]]

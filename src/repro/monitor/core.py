@@ -181,17 +181,22 @@ class Monitor:
                 f"stream staleness exceeds the assume-fresh window "
                 f"(window={self.config.window}): {err}"
             ) from err
-        if event.op in ("commit", "abort"):
-            self._recent.append(event.tid)
-            if self._fresh is not None and event.op == "commit":
-                for var in self.checker.replayer.visible_writes(event.tid):
-                    self._fresh[var].append(event.tid)
+        op = event.op
+        if op == "commit" or op == "abort":
+            tid = event.tid
+            self._recent.append(tid)
+            if self._fresh is not None and op == "commit":
+                for var in self.checker.replayer.visible_writes(tid):
+                    self._fresh[var].append(tid)
         self._since_gc += 1
         if self._since_gc >= self.config.gc_every:
             self.collect()
-        live = self.checker.live_transaction_count
-        if live > self._peak_live:
-            self._peak_live = live
+        if op == "begin":
+            # Only a begin raises the live count, so the peak is read after a
+            # begin alone, once this event's collection has run.
+            live = self.checker.live_transaction_count
+            if live > self._peak_live:
+                self._peak_live = live
         return step
 
     def run(self, events: Iterable[TraceEvent]) -> MonitorReport:

@@ -457,7 +457,8 @@ class TraceReplayer:
         self._sessions: Dict[str, List[TxnId]] = {}
         self._wr: Dict[EventId, TxnId] = {}
         self._complete: Dict[TxnId, str] = {INIT_TXN: "commit"}
-        #: var → last WRITE event per transaction that wrote it (insertion order).
+        #: Per transaction, var → its first WRITE event of var (insertion
+        #: order); kept after an abort, dropped when forgotten.
         self._writes: Dict[TxnId, Dict[str, Event]] = {
             INIT_TXN: dict(init.txns[INIT_TXN].writes())
         }
@@ -503,6 +504,13 @@ class TraceReplayer:
         """Whether ``tid`` has recorded at least one write (aborted or not)."""
         return bool(self._writes.get(tid))
 
+    def written(self, tid: TxnId) -> Dict[str, Event]:
+        """var → ``tid``'s first write of var, for every variable it wrote,
+        aborted or not: O(1) (do not mutate).  A write event the replayer
+        just applied is the first of its variable iff it is the value kept
+        for that variable."""
+        return self._writes.get(tid, {})
+
     def is_complete(self, tid: TxnId) -> bool:
         return tid in self._complete
 
@@ -528,7 +536,7 @@ class TraceReplayer:
         return len(self._logs)
 
     def visible_writes(self, tid: TxnId) -> Dict[str, Event]:
-        """``writes(t)`` so far: var → last write; empty once aborted."""
+        """``writes(t)`` so far: var → first write; empty once aborted."""
         if self.is_aborted(tid):
             return {}
         return self._writes.get(tid, {})
@@ -586,16 +594,20 @@ class TraceReplayer:
     # -- applying events ----------------------------------------------------------
 
     def apply(self, event: TraceEvent) -> Event:
-        """Validate and apply one trace event; returns the core event added."""
-        handler = getattr(self, f"_apply_{event.op}", None)
-        if handler is None:
-            raise TraceFormatError(f"unknown event type {event.op!r}")
-        added = handler(event)
+        """Validate and apply one trace event; returns the core event added.
+
+        The transaction id is built once here and handed to the op's
+        handler; callers read it off the result's ``eid.txn``.
+        """
+        try:
+            handler = self._HANDLERS[event.op]
+        except (KeyError, TypeError):  # TypeError: an unhashable op
+            raise TraceFormatError(f"unknown event type {event.op!r}") from None
+        added = handler(self, event, TxnId(event.session, event.txn))
         self._count += 1
         return added
 
-    def _open_log(self, event: TraceEvent) -> Tuple[TxnId, List[Event]]:
-        tid = event.tid
+    def _open_log(self, tid: TxnId) -> List[Event]:
         log = self._logs.get(tid)
         if log is None:
             if self.was_forgotten(tid):
@@ -603,10 +615,9 @@ class TraceReplayer:
             raise TraceFormatError(f"event for unknown transaction {tid!r} (missing begin)")
         if tid in self._complete:
             raise TraceFormatError(f"event for already-complete transaction {tid!r}")
-        return tid, log
+        return log
 
-    def _apply_begin(self, event: TraceEvent) -> Event:
-        tid = event.tid
+    def _apply_begin(self, event: TraceEvent, tid: TxnId) -> Event:
         if tid.session == INIT_TXN.session:
             raise TraceFormatError(f"session name {tid.session!r} is reserved")
         begun = self._session_begun.get(tid.session, 0)
@@ -628,8 +639,8 @@ class TraceReplayer:
         self._writes[tid] = {}
         return added
 
-    def _apply_read(self, event: TraceEvent) -> Event:
-        tid, log = self._open_log(event)
+    def _apply_read(self, event: TraceEvent, tid: TxnId) -> Event:
+        log = self._open_log(tid)
         eid = EventId(tid, len(log))
         if event.local:
             if event.var not in self._writes[tid]:
@@ -657,27 +668,36 @@ class TraceReplayer:
         log.append(added)
         return added
 
-    def _apply_write(self, event: TraceEvent) -> Event:
-        tid, log = self._open_log(event)
+    def _apply_write(self, event: TraceEvent, tid: TxnId) -> Event:
+        log = self._open_log(tid)
         if event.var not in self._variables:
             raise TraceFormatError(f"write to undeclared variable {event.var!r}")
         added = Event(EventId(tid, len(log)), EventType.WRITE, event.var, event.value)
         log.append(added)
-        self._writes[tid][event.var] = added
+        self._writes[tid].setdefault(event.var, added)
         return added
 
-    def _apply_commit(self, event: TraceEvent) -> Event:
-        tid, log = self._open_log(event)
+    def _apply_commit(self, event: TraceEvent, tid: TxnId) -> Event:
+        log = self._open_log(tid)
         added = Event(EventId(tid, len(log)), EventType.COMMIT)
         log.append(added)
         self._complete[tid] = "commit"
         self._session_open[tid.session] = None
         return added
 
-    def _apply_abort(self, event: TraceEvent) -> Event:
-        tid, log = self._open_log(event)
+    def _apply_abort(self, event: TraceEvent, tid: TxnId) -> Event:
+        log = self._open_log(tid)
         added = Event(EventId(tid, len(log)), EventType.ABORT)
         log.append(added)
         self._complete[tid] = "abort"
         self._session_open[tid.session] = None
         return added
+
+    #: Event op → its handler, called with the event and its transaction id.
+    _HANDLERS = {
+        "begin": _apply_begin,
+        "read": _apply_read,
+        "write": _apply_write,
+        "commit": _apply_commit,
+        "abort": _apply_abort,
+    }

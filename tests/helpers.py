@@ -120,6 +120,12 @@ def transitive_closure(matrix) -> dict:
     return closure
 
 
+def has_successor(matrix, node) -> bool:
+    """Whether some edge leaves ``node`` in ``matrix``: iff it reaches some
+    node."""
+    return any(matrix.reaches(node, other) for other in matrix.nodes)
+
+
 def would_close_cycle(matrix, src, dst) -> bool:
     """Whether adding ``src → dst`` to ``matrix`` would create (or hit) a
     cycle."""

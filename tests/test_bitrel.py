@@ -29,6 +29,7 @@ from tests.helpers import (
     descendants,
     fig8_program,
     fig12_program,
+    has_successor,
     mask_of,
     nodes_of_mask,
     random_history,
@@ -481,6 +482,45 @@ class TestWordBoundary:
                 RelationMatrix.from_closure(matrix.nodes, rows)
 
 
+class TestCopiesGrowApart:
+    """``copy()`` shares the index dict until a node is added: adding a
+    node to either matrix leaves the other's indexing as it was."""
+
+    @staticmethod
+    def indexing(matrix, probes):
+        return (
+            matrix.nodes,
+            len(matrix),
+            [node in matrix for node in probes],
+            [matrix.index_of(node) for node in matrix.nodes],
+        )
+
+    @pytest.mark.parametrize("grown_first", ["original", "copy"])
+    @pytest.mark.parametrize("added_before", [False, True], ids=["fresh", "added-before"])
+    def test_add_node_leaves_the_other_alone(self, grown_first, added_before):
+        matrix = RelationMatrix(range(3), [(0, 1), (1, 2)])
+        if added_before:
+            # The matrix owns its index now, and adds to it in place.
+            matrix.add_node("a")
+            matrix.add_edge(2, "a")
+        dup = matrix.copy()
+        first, second = (matrix, dup) if grown_first == "original" else (dup, matrix)
+        probes = ("b", "c")
+        before = self.indexing(second, probes)
+        assert first.add_node("b") == len(before[0])
+        assert self.indexing(second, probes) == before
+        assert "b" not in second
+        with pytest.raises(KeyError):
+            second.index_of("b")
+        grown = self.indexing(first, probes)
+        assert second.add_node("c") == len(before[0])
+        assert self.indexing(first, probes) == grown
+        assert first.index_of("b") == second.index_of("c") == len(before[0])
+        assert "c" not in first and "b" not in second
+        first.add_edge(0, "b")
+        assert first.reaches(0, "b") and not second.reaches(0, "c")
+
+
 class TestOneRowUpdate:
     """An edge into a node with no successor updates that node's row only."""
 
@@ -513,18 +553,19 @@ class TestMutatorInterleavings:
     one-step rows to.  ``retract_edges`` only retracts edges first added
     since the last compaction, the streaming monitor's GC gate.  After every
     operation, every pair's ``reaches``, every node's ancestors, descendants
-    and successor bit, ``is_acyclic`` and ``closure_rows`` (against a
-    from-scratch build) must agree.
+    and whether it has a successor, ``is_acyclic`` and ``closure_rows``
+    (against a from-scratch build) must agree, and a matrix restored by
+    ``from_closure`` must take one more edge as a from-scratch build does
+    (which reads the mask of nodes with a successor it restores).
     """
 
-    @staticmethod
-    def check(matrix, nodes, adj):
+    def check(self, matrix, nodes, adj, probe):
         assert list(matrix.nodes) == nodes
         closure = naive_closure(adj)
         for a in nodes:
             assert descendants(matrix, a) == closure[a]
             assert matrix.ancestors(a) == {b for b in nodes if a in closure[b]}
-            assert matrix.has_successor(a) == bool(adj[a])
+            assert has_successor(matrix, a) == bool(adj[a])
             for b in nodes:
                 assert matrix.reaches(a, b) == (b in closure[a]), (a, b)
         assert matrix.is_acyclic() == naive_acyclic(adj)
@@ -532,7 +573,11 @@ class TestMutatorInterleavings:
         rows = matrix.closure_rows()
         assert rows == RelationMatrix(nodes, edges).closure_rows()
         restored = RelationMatrix.from_closure(nodes, rows)
-        assert all(restored.has_successor(a) == bool(adj[a]) for a in nodes)
+        edge = self.random_edge(probe, nodes)
+        restored.add_edge(*edge)
+        grown = RelationMatrix(nodes, edges + [edge])
+        assert restored.closure_rows() == grown.closure_rows(), edge
+        assert restored.is_acyclic() == grown.is_acyclic(), edge
 
     def random_edge(self, rng, nodes):
         kind = rng.random()
@@ -551,6 +596,9 @@ class TestMutatorInterleavings:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_interleavings_across_the_row_width(self, start, stop, seed):
         rng = random.Random(seed * 1000 + start)
+        # The extra edges check() gives restored matrices draw from their
+        # own generator, so the mutator sequence is rng's alone.
+        probe = random.Random(seed)
         nodes = list(range(start))
         adj = {a: set() for a in nodes}
         for a in nodes[1:]:
@@ -560,7 +608,7 @@ class TestMutatorInterleavings:
         fired = []
         crossed = set()
         fresh = start
-        self.check(matrix, nodes, adj)
+        self.check(matrix, nodes, adj, probe)
         while len(nodes) < stop:
             op = rng.random()
             if op < 0.3:
@@ -591,5 +639,5 @@ class TestMutatorInterleavings:
             else:
                 matrix = matrix.copy()
             crossed.add(len(nodes))
-            self.check(matrix, nodes, adj)
+            self.check(matrix, nodes, adj, probe)
         assert {start + 5, start + 6, start + 7} <= crossed

@@ -8,6 +8,8 @@ state), across paper histories, fuzzed traces and application workloads —
 the acceptance property of the trace subsystem.
 """
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -18,13 +20,21 @@ from repro.checking.online import DEFAULT_LEVELS, OnlineChecker, OnlineStep, che
 from repro.core import INIT_TXN, HistoryBuilder, RelationMatrix, TxnId
 from repro.dpor import explore_ce
 from repro.engine.harness import run_program, workload_program
-from repro.engine.mvcc import get_engine_config
-from repro.isolation import AXIOMS_BY_LEVEL, IncrementalSaturation, get_level
+from repro.engine.mvcc import engine_configs, get_engine_config
+from repro.isolation import AXIOMS_BY_LEVEL, IncrementalSaturation, get_level, registered_levels
 from repro.isolation.axioms import axioms_hold
+from repro.isolation.registry import level_spec
 from repro.isolation.snapshot import schedule_commit_order
 from repro.isolation.summaries import dense_summaries
 from repro.monitor import Monitor, MonitorConfig
-from repro.trace import Trace, TraceEvent, TraceFormatError, fuzz_history, gadget_traces
+from repro.trace import (
+    Trace,
+    TraceEvent,
+    TraceFormatError,
+    TraceHeader,
+    fuzz_history,
+    gadget_traces,
+)
 from repro.trace.format import TraceReplayer
 
 LEVELS = DEFAULT_LEVELS
@@ -599,6 +609,67 @@ class TestMaintainedSummaries:
         assert len(checker._summaries.view(checker.causal_matrix).reads_of[reader]) == 1
 
 
+def steps_digest():
+    """Digest every step's ``(index, sorted verdicts, newly_violated)``.
+
+    One checker deciding every registered level over fuzzed histories with
+    aborts and engine runs of every config; then keep-mode monitors at
+    every level and assume-fresh monitors at the ``fresh``-eviction levels,
+    at the tightest GC cadence on :func:`evicting_stream`, each followed by
+    its report's ``peak_live`` and eviction counters.  As JSON, so the
+    digest depends on neither ``hash()`` nor a ``repr``.
+    """
+    digest = hashlib.sha256()
+
+    def add(step):
+        record = [step.index, sorted(step.verdicts.items()), list(step.newly_violated)]
+        digest.update(json.dumps(record).encode())
+
+    levels = [level.name for level in registered_levels()]
+    traces = [
+        Trace.from_history(fuzz_history(seed, txns_per_session=3, abort_rate=0.25))
+        for seed in range(30)
+    ]
+    for name, config in sorted(engine_configs().items()):
+        workloads = ["hotkeys"] + ([f"demo:{config.bug}"] if config.bug else [])
+        for workload in workloads:
+            for seed in range(2):
+                program = workload_program(workload, 2, 4, seed)
+                traces.append(run_program(program, config, seed=seed).trace)
+    for trace in traces:
+        checker = OnlineChecker.from_trace(trace, levels=levels)
+        for event in trace.events:
+            add(checker.feed(event))
+    fresh = [name for name in levels if level_spec(name).eviction == "fresh"]
+    monitors = [("keep", name) for name in levels] + [("assume-fresh", name) for name in fresh]
+    for seed in range(3):
+        trace = evicting_stream(seed)
+        for mode, name in monitors:
+            monitor = Monitor(
+                trace.header,
+                MonitorConfig(isolation=name, mode=mode, window=1, gc_every=1, evict_batch=1),
+            )
+            for event in trace.events:
+                add(monitor.feed(event))
+            report = monitor.report()
+            stats = report.stats
+            digest.update(json.dumps(
+                [report.peak_live, stats.evicted, stats.pruned, stats.collections]
+            ).encode())
+    return digest.hexdigest()
+
+
+#: SHA-256 of :func:`steps_digest`, recorded when every event rebuilt every
+#: level's verdict.  Skipping the level loop on the events no level decides
+#: on must leave every step and every monitor gauge as it was.
+PINNED_STEPS_DIGEST = "ebf47e5480294f850a064589c886980bfa032315b9df56360ca72d07fe011a09"
+
+
+class TestPinnedVerdicts:
+    def test_steps_match_the_recorded_digest(self):
+        assert steps_digest() == PINNED_STEPS_DIGEST
+
+
 class TestApiSurface:
     def trace(self):
         return gadget_traces()["cc_violation"]
@@ -659,3 +730,56 @@ class TestApiSurface:
         checker = OnlineChecker(["x"])
         assert checker.verdicts == {name: True for name in LEVELS}
         assert checker.steps == ()
+
+    def test_a_steps_verdicts_are_its_own(self):
+        """Editing a step's verdicts changes neither the checker's verdicts
+        nor the next step's, whether the next event decides or is inert."""
+        trace = Trace.from_records(
+            [
+                record("begin", "w"),
+                record("write", "w", var="x", value=1),
+                record("write", "w", var="x", value=2),
+                record("commit", "w"),
+                record("begin", "r"),
+                read_record("r", "x", "w", value=2),
+                record("commit", "r"),
+            ],
+            variables=["x"],
+            name="all-hold",
+        )
+        checker = OnlineChecker.from_trace(trace)
+        holds = dict.fromkeys(LEVELS, True)
+        kinds = set()
+        wrote = {}
+        for event in trace.events:
+            kinds.add(event_kind(event, wrote) in INERT_KINDS)
+            step = checker.feed(event)
+            assert step.verdicts == holds and step.newly_violated == (), event
+            step.verdicts.update(dict.fromkeys(LEVELS, False))
+            assert checker.verdicts == holds, event
+        assert kinds == {True, False}
+
+    def test_steps_are_immutable(self):
+        step = OnlineChecker(["x"]).feed(TraceEvent("begin", "s", 0))
+        for name in ("index", "event", "verdicts", "newly_violated", "ok", "other"):
+            with pytest.raises(AttributeError):
+                setattr(step, name, None)
+        assert step.ok and step.index == 0
+
+    def test_unknown_event_type_counts_nothing(self):
+        """An unknown op, an unhashable one included, raises before anything
+        is counted, through the checker and through the monitor."""
+        begin = TraceEvent("begin", "s", 0)
+        checker = OnlineChecker(["x"])
+        monitor = Monitor(TraceHeader(variables=("x",)), MonitorConfig(isolation="SER"))
+        for feed, replayer in (
+            (checker.feed, checker.replayer),
+            (monitor.feed, monitor.checker.replayer),
+        ):
+            feed(begin)
+            for op in ("bogus", ["bogus"]):
+                with pytest.raises(TraceFormatError, match="unknown event type"):
+                    feed(TraceEvent(op, "s", 0))
+            assert replayer.event_count == 1
+        assert checker.steps[-1].index == 0
+        assert monitor.stats().events == 1
